@@ -20,9 +20,12 @@ from repro.attacks import ReplayAttack, SoundTubeAttack
 from repro.devices import Loudspeaker, get_loudspeaker
 from repro.experiments.world import attack_capture, genuine_capture
 
-#: Timing repetitions per capture; the median over repeats de-noises the
+#: Timing repetitions per capture; the best of the repeats de-noises the
 #: scheduler/GC jitter of a single run.
 REPEATS = 3
+
+#: Genuine attempts timed, round-robin over the enrolled users.
+GENUINE_CAPTURES = 12
 
 
 #: Replay loudspeakers, one per Table IV device class the paper sweeps.
@@ -44,7 +47,8 @@ def _scenarios(world):
     victim = users[0]
     stolen = world.user(victim).enrolment_waveforms[-1]
     rows = []
-    for i, user_id in enumerate(users[:2]):
+    for i in range(GENUINE_CAPTURES):
+        user_id = users[i % len(users)]
         rows.append(
             (f"genuine_{i}", genuine_capture(world, user_id, 0.05), user_id, False)
         )

@@ -114,10 +114,10 @@ CONSTANT_HOME_FILES: Tuple[str, ...] = ("core/config.py", "constants.py")
 #: bitwise-equivalence invariant the serving tiers are gated on.
 TAINT_SINKS: Mapping[str, Tuple[str, ...]] = {
     "core/pipeline.py": (
+        "execute",
         "DefenseSystem.verify",
         "DefenseSystem.verify_cascade",
         "DefenseSystem.run_component",
-        "DefenseSystem._dispatch_component",
     ),
     "core/cascade.py": ("pass_boundary", "CascadePlan.confident_reject"),
     "asv/scoring.py": (
@@ -126,14 +126,13 @@ TAINT_SINKS: Mapping[str, Tuple[str, ...]] = {
         "llr_score_multi",
         "zt_normalize",
     ),
+    "server/backend.py": ("VerificationServer.handle",),
     "server/gateway.py": (
         "Gateway._process",
-        "Gateway._process_cascade",
-        "Gateway._finalize",
         "_IdentityBatcher._run_batch",
         "ShardedGateway._fail_closed",
     ),
-    "server/shard.py": ("ShardWorker.process", "ShardWorker._finish"),
+    "server/shard.py": ("ShardWorker.process",),
 }
 
 #: Wall-clock / ambient-state reads (resolved external dotted names).

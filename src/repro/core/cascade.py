@@ -7,9 +7,8 @@ the final decision identical to the run-everything pipeline (ACCEPT
 requires all stages to pass either way) while skipping the expensive
 stages on the attacks the cheap ones already caught.
 
-Two pieces of policy live here, shared by
-:class:`~repro.core.pipeline.DefenseSystem` and the serving
-:class:`~repro.server.gateway.Gateway`:
+Two pieces of policy live here, applied for every serving mode by the
+one request executor, :func:`repro.core.pipeline.execute`:
 
 - a **per-stage cost estimate** (median verify latency, milliseconds,
   measured on the reference capture length) that orders the stages.  In
@@ -161,9 +160,9 @@ class CascadePlan:
 # ----------------------------------------------------------------------
 #
 # A stage hook is a callable ``hook(stage_name) -> context manager``
-# entered for the duration of one stage's verify call, wherever stages
-# execute: the pipeline's ``run_component``, the gateway's detection
-# jobs and identity micro-batcher, and the shard workers.  Observability
+# entered for the duration of one stage's verify call, in whichever
+# thread :func:`repro.core.pipeline.execute` runs the stage (an identity
+# micro-batch is scored inside its leader's scope).  Observability
 # layers (the statistical profiler's per-stage attribution lives here)
 # register hooks at runtime; with no hooks registered ``stage_scope``
 # returns a shared null context, so the serving hot path pays one list

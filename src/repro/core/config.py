@@ -143,16 +143,9 @@ class GatewayConfig:
     component_retries: int = 1
     #: How long the first request of an identity batch waits for peers.
     batch_window_s: float = 0.05
-    #: Flush an identity batch as soon as it reaches this many requests.
+    #: Flush an identity batch as soon as it reaches this many requests
+    #: claiming the same speaker.
     max_batch: int = 8
-    #: Stack concurrent requests claiming *different* speakers into one
-    #: identity batch (single shared UBM likelihood pass plus one grouped
-    #: pass per distinct claimed model).  Off by default: per-speaker
-    #: buckets.  Scores are bitwise-equal either way — frame likelihoods
-    #: are row-independent — so this is purely a throughput knob.
-    cross_speaker_batching: bool = False
-    #: Recent-sample window of the latency histograms.
-    metrics_window: int = 4096
     #: Serve with the cost-ordered early-exit cascade: cheap stages run
     #: first and a confident rejection skips everything downstream
     #: (including identity scoring).  Decisions match the strict path —
@@ -162,10 +155,6 @@ class GatewayConfig:
     cascade: bool = False
     #: Number of shared-nothing shard processes (0 = threaded gateway).
     shards: int = 0
-    #: Bound of each shard's work queue (per-shard backpressure).
-    shard_queue_depth: int = 32
-    #: How often the shard supervisor polls worker liveness (seconds).
-    health_check_interval_s: float = 0.1
     #: Enable in-band chaos hooks (``__chaos_exit__`` request metadata
     #: kills the handling shard mid-request).  Test-only; never enable
     #: in production configs.
@@ -198,10 +187,6 @@ class GatewayConfig:
             raise ConfigurationError("max_batch must be positive")
         if self.shards < 0:
             raise ConfigurationError("shards must be >= 0")
-        if self.shard_queue_depth <= 0:
-            raise ConfigurationError("shard_queue_depth must be positive")
-        if self.health_check_interval_s <= 0:
-            raise ConfigurationError("health_check_interval_s must be positive")
         if self.slo_latency_threshold_s <= 0:
             raise ConfigurationError(
                 "slo_latency_threshold_s must be positive"

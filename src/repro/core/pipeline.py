@@ -1,21 +1,21 @@
 """The cascade defense pipeline (paper Fig. 4).
 
-:class:`DefenseSystem` runs the four verification components over a
-capture and accepts only when every component passes.  Two engines share
-the component implementations:
+:class:`DefenseSystem` holds the trained verification components and
+accepts a capture only when every component passes.  :func:`execute` is
+the one request executor: every serving mode — the pipeline's own
+:meth:`~DefenseSystem.verify`/:meth:`~DefenseSystem.verify_cascade`, the
+sequential server, the threaded gateway and the shard workers — runs
+the cascade through it, so their reports agree by construction.  Two
+schedules exist (see :func:`schedule`):
 
-- :meth:`DefenseSystem.verify` — the paper-order engine.  By default it
-  runs everything (benches use this to collect every component's score
-  for threshold sweeps); ``cascade=True`` restores the prototype's
-  skip-after-first-rejection latency optimisation.
-- :meth:`DefenseSystem.verify_cascade` — the cost-ordered early-exit
-  engine (see :mod:`repro.core.cascade`): stages run cheapest-first and
-  a *confident* rejection skips everything downstream, including the
-  ASV pass.  ``strict=True`` runs every stage in paper order and is
-  bitwise-identical to :meth:`verify`'s default mode while still timing
-  the stages.  Both modes always produce the same final decision —
-  acceptance requires every stage to pass, so skipping after a
-  rejection can never flip the outcome.
+- **strict** — every enabled stage in paper order (benches use this to
+  collect every component's score for threshold sweeps);
+- **cascade** — cost order (see :mod:`repro.core.cascade`): cheap gates
+  run one at a time and a *confident* rejection skips everything
+  downstream, including the ASV pass.
+
+Both produce the same final decision — acceptance requires every stage
+to pass, so skipping after a rejection can never flip the outcome.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.core.magliveness import MagneticLivenessDetector
 from repro.core.magnetic import LoudspeakerDetector
 from repro.core.soundfield import SoundFieldVerifier
 from repro.errors import ConfigurationError
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.world.scene import SensorCapture
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -315,91 +315,25 @@ class DefenseSystem:
         capture: SensorCapture,
         claimed_speaker: Optional[str] = None,
     ) -> ComponentResult:
-        """Run one verification component (shared by both engines).
-
-        With a live tracer the stage runs inside a ``stage.<name>`` span
-        (DSP kernels open child spans of their own) whose attributes
-        carry the verdict and the component's evidence mapping.
-        """
-        with self.tracer.span(f"stage.{name}") as span:
-            with stage_scope(name):
-                result = self._dispatch_component(name, capture, claimed_speaker)
-            if self.tracer.enabled:
-                span.set_attrs(
-                    {
-                        "passed": result.passed,
-                        "score": result.score,
-                        "detail": result.detail,
-                        "evidence": dict(result.evidence),
-                    }
-                )
-                if not result.passed:
-                    span.status = "error" if result.score == float("-inf") else "ok"
-            return sanitize.check_result(result)
-
-    def _dispatch_component(
-        self,
-        name: str,
-        capture: SensorCapture,
-        claimed_speaker: Optional[str],
-    ) -> ComponentResult:
-        if name == "distance":
-            return self.distance.verify(capture)
-        if name == "magnetic":
-            return self.magnetic.verify(capture)
-        if name == "magliveness":
-            return self.magliveness.verify(capture)
-        if name == "soundfield":
-            if claimed_speaker is None:
-                raise ConfigurationError(
-                    "claimed_speaker required when the sound-field component runs"
-                )
-            return self.soundfield_for(claimed_speaker).verify(capture)
-        if name == "identity":
-            if claimed_speaker is None:
-                raise ConfigurationError(
-                    "claimed_speaker required when the identity component runs"
-                )
-            return self.identity.verify(capture, claimed_speaker)
-        raise ConfigurationError(f"unknown component {name!r}")
+        """Run one verification component outside any cascade."""
+        try:
+            component = STAGES[name]
+        except KeyError:
+            raise ConfigurationError(f"unknown component {name!r}") from None
+        return sanitize.check_result(component(self, capture, claimed_speaker))
 
     def verify(
         self,
         capture: SensorCapture,
         claimed_speaker: Optional[str] = None,
-        cascade: bool = False,
     ) -> VerificationReport:
-        """Run the pipeline over one capture, in paper order.
+        """Run every enabled component over one capture, in paper order.
 
-        ``claimed_speaker`` may be omitted when the identity component is
-        disabled (machine-detection-only benches).  ``cascade=True``
-        skips the remaining components after the first rejection (the
-        prototype's optimisation); for the cost-ordered early-exit engine
-        see :meth:`verify_cascade`.
+        ``claimed_speaker`` may be omitted when the claim-dependent
+        components are disabled (machine-detection-only benches).  For
+        the cost-ordered early-exit engine see :meth:`verify_cascade`.
         """
-        results: Dict[str, ComponentResult] = {}
-        rejected = False
-        with self.tracer.span("verify") as root:
-            for name in ALL_COMPONENTS:
-                if name not in self.enabled_components:
-                    continue
-                if cascade and rejected:
-                    break
-                result = self.run_component(name, capture, claimed_speaker)
-                results[name] = result
-                rejected = rejected or not result.passed
-            decision = Decision.REJECT if rejected else Decision.ACCEPT
-            if self.tracer.enabled:
-                root.set_attrs(
-                    {
-                        "decision": decision.value,
-                        "claimed_speaker": claimed_speaker,
-                        "mode": "strict",
-                    }
-                )
-        return VerificationReport(
-            decision=decision, components=results, claimed_speaker=claimed_speaker
-        )
+        return self._verify(capture, claimed_speaker, cascade=False)
 
     def verify_cascade(
         self,
@@ -409,90 +343,45 @@ class DefenseSystem:
     ) -> VerificationReport:
         """Run the cost-ordered early-exit cascade over one capture.
 
-        Stages run cheapest-first (per :attr:`cascade_plan`); a stage
-        that rejects with its configured margin ends the run and the
-        remaining stages are reported as ``skipped``.  The final decision
-        is always identical to the strict pipeline's: acceptance needs
-        every stage, so stopping after a rejection cannot flip it.
-
-        ``strict=True`` runs every enabled stage in paper order — the
-        component results are bitwise-identical to :meth:`verify`'s
-        default mode — while still populating per-stage latencies.
+        The schedule is :func:`schedule`'s, so the report (skip set
+        included) is the one every serving mode produces for the same
+        capture.  ``strict=True`` is :meth:`verify`.  Either way the run
+        is counted in :attr:`cascade_stats`.
         """
-        needs_claim = {"soundfield", "identity"} & set(self.enabled_components)
+        report = self._verify(capture, claimed_speaker, cascade=not strict)
+        with self._stats_lock:
+            stats = self.cascade_stats
+            stats.verifications += 1
+            for name in report.components:
+                stats.runs[name] = stats.runs.get(name, 0) + 1
+            for name in report.skipped:
+                stats.skips[name] = stats.skips.get(name, 0) + 1
+            if report.skipped:
+                stats.early_exits += 1
+        return report
+
+    def _verify(
+        self, capture: SensorCapture, claimed_speaker: Optional[str], cascade: bool
+    ) -> VerificationReport:
+        needs_claim = set(CLAIM_STAGES) & set(self.enabled_components)
         if needs_claim and claimed_speaker is None:
             raise ConfigurationError(
                 "claimed_speaker required when the "
                 f"{sorted(needs_claim)[0]} component runs"
             )
-        if strict:
-            order = tuple(
-                n for n in ALL_COMPONENTS if n in self.enabled_components
+        attrs = {
+            "claimed_speaker": claimed_speaker,
+            "mode": "cascade" if cascade else "strict",
+        }
+        with self.tracer.span("verify", attrs=attrs) as root:
+            return execute(
+                self,
+                capture,
+                claimed_speaker,
+                cascade=cascade,
+                parent=root,
+                tracer=self.tracer,
             )
-        else:
-            order = self.cascade_plan.order(self.enabled_components)
-        results: Dict[str, ComponentResult] = {}
-        latency: Dict[str, float] = {}
-        skipped: list[str] = []
-        early_exit: Optional[str] = None
-        rejected = False
-        with self.tracer.span("verify") as root:
-            for name in order:
-                if early_exit is not None:
-                    skipped.append(name)
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            f"stage.{name}",
-                            status="skipped",
-                            attrs={
-                                "skip_reason": (
-                                    f"upstream stage {early_exit!r} rejected "
-                                    "confidently"
-                                ),
-                                "cost_saved_ms": self.cascade_plan.estimated_cost_ms(
-                                    (name,)
-                                ),
-                            },
-                        )
-                    continue
-                t0 = time.perf_counter()
-                result = self.run_component(name, capture, claimed_speaker)
-                latency[name] = time.perf_counter() - t0
-                results[name] = result
-                rejected = rejected or not result.passed
-                if not strict and self.cascade_plan.confident_reject(
-                    result, self.config
-                ):
-                    early_exit = name
-            if self.tracer.enabled:
-                root.set_attrs(
-                    {
-                        "decision": (
-                            Decision.REJECT if rejected else Decision.ACCEPT
-                        ).value,
-                        "claimed_speaker": claimed_speaker,
-                        "mode": "strict" if strict else "cascade",
-                        "early_exit_stage": early_exit if skipped else None,
-                    }
-                )
-        with self._stats_lock:
-            stats = self.cascade_stats
-            stats.verifications += 1
-            for name in results:
-                stats.runs[name] = stats.runs.get(name, 0) + 1
-            for name in skipped:
-                stats.skips[name] = stats.skips.get(name, 0) + 1
-            if early_exit is not None and skipped:
-                stats.early_exits += 1
-        return VerificationReport(
-            decision=Decision.REJECT if rejected else Decision.ACCEPT,
-            components=results,
-            claimed_speaker=claimed_speaker,
-            mode="strict" if strict else "cascade",
-            skipped=tuple(skipped),
-            early_exit_stage=early_exit if skipped else None,
-            stage_latency_s=latency,
-        )
 
     def decision_record(
         self,
@@ -509,3 +398,166 @@ class DefenseSystem:
             request_id=request_id,
             trace_id=trace_id,
         )
+
+
+# ----------------------------------------------------------------------
+# The request executor: one cascade for every serving mode
+# ----------------------------------------------------------------------
+def _claim(claimed: Optional[str]) -> str:
+    if claimed is None:
+        raise ConfigurationError("this component needs a claimed speaker")
+    return claimed
+
+
+#: The stage table: how each component scores one capture for a claim.
+STAGES: Dict[
+    str, Callable[[DefenseSystem, SensorCapture, Optional[str]], ComponentResult]
+] = {
+    "distance": lambda system, capture, _: system.distance.verify(capture),
+    "soundfield": lambda system, capture, claimed: system.soundfield_for(
+        _claim(claimed)
+    ).verify(capture),
+    "magnetic": lambda system, capture, _: system.magnetic.verify(capture),
+    "identity": lambda system, capture, claimed: system.identity.verify(
+        capture, _claim(claimed)
+    ),
+    "magliveness": lambda system, capture, _: system.magliveness.verify(capture),
+}
+
+#: Stages that score the claimed identity; without a claim they drop out.
+CLAIM_STAGES = ("soundfield", "identity")
+
+#: One stage run, ready for whichever thread picks it up.
+Job = Callable[[], ComponentResult]
+#: Runs independent stage jobs and returns their results by name.
+FanOut = Callable[[Dict[str, Job]], Dict[str, ComponentResult]]
+#: Scores the identity stage: ``(capture, claimed, stage span) -> result``.
+ScoreIdentity = Callable[[SensorCapture, str, Span], ComponentResult]
+
+
+def run_inline(jobs: Dict[str, Job]) -> Dict[str, ComponentResult]:
+    """The fan-out of the sequential pipeline: jobs in order, errors raise."""
+    return {name: job() for name, job in jobs.items()}
+
+
+def schedule(
+    system: DefenseSystem, claimed: Optional[str], cascade: bool
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The stages one request runs, as ``(gates, tail)``.
+
+    Gates run one at a time and a confident rejection by any of them
+    skips everything after it; the tail runs through the fan-out, with
+    no early exit.  Strict mode is paper order with no gates.  The
+    cascade is cost order, and its two most expensive stages form the
+    tail, so they overlap when the fan-out is parallel.
+    """
+    stages = tuple(
+        name
+        for name in ALL_COMPONENTS
+        if name in system.enabled_components
+        and (claimed is not None or name not in CLAIM_STAGES)
+    )
+    if not cascade:
+        return (), stages
+    order = system.cascade_plan.order(stages)
+    gates = order[:-2] if len(order) > 2 else ()
+    return gates, order[len(gates) :]
+
+
+def execute(
+    system: DefenseSystem,
+    capture: SensorCapture,
+    claimed: Optional[str],
+    *,
+    cascade: bool,
+    fan_out: FanOut = run_inline,
+    score_identity: Optional[ScoreIdentity] = None,
+    parent: Optional[Span] = None,
+    tracer: Tracer = NULL_TRACER,
+) -> VerificationReport:
+    """Verify one capture: the Fig. 4 cascade, written once.
+
+    Every serving mode calls this; only two things vary, and the caller
+    passes both in.  ``fan_out`` runs detection jobs (inline by default,
+    or on a scheduler that folds failures into −inf rejections) and
+    ``score_identity`` scores the identity stage (the stage table by
+    default, or a micro-batcher).  Exceptions from either propagate.
+
+    Each stage runs in a ``stage.<name>`` span under ``parent``, opened
+    in the thread that executes it so kernel spans nest beneath, and
+    inside :func:`~repro.core.cascade.stage_scope`.  Skipped stages are
+    recorded as ``skipped`` span events.  The report carries the stage
+    results in schedule order, the skip set and per-stage latencies.
+    """
+    gates, tail = schedule(system, claimed, cascade)
+    latency: Dict[str, float] = {}
+
+    def stage(name: str) -> Job:
+        def run() -> ComponentResult:
+            with tracer.span(f"stage.{name}", parent=parent) as span, stage_scope(name):
+                t0 = time.perf_counter()
+                if name == "identity" and score_identity is not None:
+                    result = score_identity(capture, _claim(claimed), span)
+                else:
+                    result = STAGES[name](system, capture, claimed)
+                latency[name] = time.perf_counter() - t0
+                if tracer.enabled:
+                    span.set_attrs(
+                        {
+                            "passed": result.passed,
+                            "score": result.score,
+                            "detail": result.detail,
+                            "evidence": dict(result.evidence),
+                        }
+                    )
+                    if result.score == float("-inf"):
+                        span.status = "error"
+            return result
+
+        return run
+
+    results: Dict[str, ComponentResult] = {}
+    early_exit: Optional[str] = None
+    for name in gates:
+        job = stage(name)
+        results[name] = job() if name == "identity" else fan_out({name: job})[name]
+        if system.cascade_plan.confident_reject(results[name], system.config):
+            early_exit = name
+            break
+    order = gates + tail
+    skipped = order[len(results) :] if early_exit is not None else ()
+    if early_exit is None:
+        detection = {name: stage(name) for name in tail if name != "identity"}
+        if detection:
+            results.update(fan_out(detection))
+        if "identity" in tail:
+            results["identity"] = stage("identity")()
+    results = {name: results[name] for name in order if name in results}
+    sanitize.check_results(results)
+    decision = (
+        Decision.ACCEPT if all(r.passed for r in results.values()) else Decision.REJECT
+    )
+    if tracer.enabled:
+        for name in skipped:
+            tracer.event(
+                f"stage.{name}",
+                parent=parent,
+                status="skipped",
+                attrs={
+                    "skip_reason": f"upstream stage {early_exit!r} rejected confidently",
+                    "cost_saved_ms": system.cascade_plan.estimated_cost_ms((name,)),
+                },
+            )
+        if parent is not None:
+            parent.set_attr("decision", decision.value)
+            if early_exit is not None:
+                parent.set_attr("early_exit_stage", early_exit)
+    return VerificationReport(
+        decision=decision,
+        components=results,
+        claimed_speaker=claimed,
+        mode="cascade" if cascade else "strict",
+        skipped=skipped,
+        early_exit_stage=early_exit,
+        stage_latency_s=dict(latency),
+    )

@@ -1,136 +1,132 @@
 """The verification server backend.
 
 Wraps a trained :class:`repro.core.pipeline.DefenseSystem` behind the
-wire protocol: decode request → fan the machine-detection components out
-on the scheduler → run identity verification → encode decision.  The
-"network" is an in-process call, which keeps the Fig. 15 timing bench
-about compute rather than transport (the paper likewise redirected all
-traffic to a local server to minimise network influence).
+wire protocol: decode request → :func:`~repro.core.pipeline.execute`
+with the machine-detection components fanned out on the scheduler →
+encode decision.  The "network" is an in-process call, which keeps the
+Fig. 15 timing bench about compute rather than transport (the paper
+likewise redirected all traffic to a local server to minimise network
+influence).
 
-The module-level helpers (:func:`machine_detection_jobs`,
-:func:`collect_detection_results`) are shared with the concurrent
-:class:`~repro.server.gateway.Gateway`, so the one-request-at-a-time
-server and the gateway run byte-identical cascades.
+The module-level helpers are shared with the concurrent
+:class:`~repro.server.gateway.Gateway` and the shard workers:
+:func:`scheduler_fan_out` (the fail-closed scheduler fan-out),
+:func:`decision_fields` (a report's decision-frame payload) and
+:func:`observe_request` (the per-request metrics).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.cascade import stage_scope
-from repro.core.decision import ComponentResult
-from repro.core.pipeline import DefenseSystem
+from repro.core.decision import ComponentResult, VerificationReport
+from repro.core.pipeline import DefenseSystem, FanOut, Job, execute
 from repro.server.metrics import MetricsRegistry, RequestStats
 from repro.server.protocol import decode_request_full, encode_decision
-from repro.server.scheduler import JobResult, JobScheduler
-from repro.world.scene import SensorCapture
+from repro.server.scheduler import JobScheduler
 
 __all__ = [
     "RequestStats",
     "VerificationServer",
-    "machine_detection_jobs",
-    "collect_detection_results",
-    "cascade_order",
-    "cascade_split",
+    "decision_fields",
+    "observe_request",
+    "scheduler_fan_out",
 ]
 
 
-def cascade_order(
-    system: DefenseSystem, claimed: Optional[str]
-) -> Tuple[str, ...]:
-    """Enabled stages cheapest-first; claim-dependent stages only with a
-    claim (matching the strict path, which skips them too)."""
-    order = system.cascade_plan.order(system.enabled_components)
-    if claimed is None:
-        order = tuple(n for n in order if n not in ("identity", "soundfield"))
-    return order
-
-
-def cascade_split(
-    order: Tuple[str, ...],
-) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """Split a cost order into sequential gates and a parallel tail.
-
-    The gateway's cascade runs the cheap leading stages one at a time
-    (each may exit early) and the two most expensive stages together.
-    Every serving mode — threaded gateway and process shards — must use
-    this exact split, because the gate set determines which stages can
-    early-exit and therefore which downstream stages get *skipped*;
-    a different split would produce different skip sets and break the
-    bitwise cross-mode decision equivalence the test harness enforces.
-    """
-    gates = order[:-2] if len(order) > 2 else ()
-    return gates, order[len(gates) :]
-
-
-def _staged(
-    name: str, fn: Callable[[], ComponentResult]
-) -> Callable[[], ComponentResult]:
-    """Wrap a component job so it executes inside the cascade's
-    :func:`~repro.core.cascade.stage_scope` (per-stage profiler
-    attribution), whichever scheduler thread picks it up."""
-
-    def run() -> ComponentResult:
-        with stage_scope(name):
-            return fn()
-
-    return run
-
-
-def machine_detection_jobs(
-    system: DefenseSystem, capture: SensorCapture, claimed: Optional[str]
-) -> Dict[str, Callable[[], ComponentResult]]:
-    """The independent machine-detection component jobs for one request."""
-    enabled = system.enabled_components
-    jobs: Dict[str, Callable[[], ComponentResult]] = {}
-    if "distance" in enabled:
-        jobs["distance"] = _staged(
-            "distance", lambda: system.distance.verify(capture)
-        )
-    if "magnetic" in enabled:
-        jobs["magnetic"] = _staged(
-            "magnetic", lambda: system.magnetic.verify(capture)
-        )
-    if "magliveness" in enabled:
-        jobs["magliveness"] = _staged(
-            "magliveness", lambda: system.magliveness.verify(capture)
-        )
-    if "soundfield" in enabled and claimed is not None:
-        jobs["soundfield"] = _staged(
-            "soundfield", lambda: system.soundfield_for(claimed).verify(capture)
-        )
-    return jobs
-
-
-def collect_detection_results(
-    job_results: Dict[str, JobResult],
-) -> Dict[str, ComponentResult]:
-    """Fold scheduler outcomes into component results (fail closed).
+def scheduler_fan_out(
+    scheduler: JobScheduler,
+    timeout_s: Optional[float],
+    retries: int,
+    metrics: Optional[MetricsRegistry] = None,
+) -> FanOut:
+    """A fan-out that runs stage jobs on ``scheduler`` and fails closed.
 
     A crashed or timed-out component degrades to a scored rejection —
-    the safe default for an authentication system.
+    the safe default for an authentication system.  Timeouts, crash
+    retries and failed stages are counted in ``metrics`` when one is
+    given.
     """
-    results: Dict[str, ComponentResult] = {}
-    for name, job in job_results.items():
-        if job.ok:
-            results[name] = job.value
-        else:
-            results[name] = ComponentResult(
-                name=name,
-                passed=False,
-                score=float("-inf"),
-                detail=f"component error: {job.error}",
+
+    def fan_out(jobs: Dict[str, Job]) -> Dict[str, ComponentResult]:
+        results: Dict[str, ComponentResult] = {}
+        for name, job in scheduler.run_all(
+            jobs, timeout_s=timeout_s, retries=retries
+        ).items():
+            if metrics is not None:
+                if job.timed_out:
+                    metrics.increment("component_timeouts")
+                if job.attempts > 1:
+                    metrics.increment("component_retries", job.attempts - 1)
+                if not job.ok:
+                    metrics.increment(f"stage_errors_{name}")
+            results[name] = (
+                job.value
+                if job.ok
+                else ComponentResult(
+                    name=name,
+                    passed=False,
+                    score=float("-inf"),
+                    detail=f"component error: {job.error}",
+                )
             )
-    return results
+        return results
+
+    return fan_out
+
+
+def decision_fields(
+    report: VerificationReport,
+) -> Tuple[Dict[str, Tuple[bool, float, str]], Dict[str, Dict[str, float]]]:
+    """``(component_results, evidence)`` of a report's decision frame."""
+    payload = {
+        name: (r.passed, r.score, r.detail) for name, r in report.components.items()
+    }
+    evidence = {name: dict(r.evidence) for name, r in report.components.items()}
+    return payload, evidence
+
+
+def observe_request(
+    metrics: MetricsRegistry,
+    report: VerificationReport,
+    decode_s: float,
+    execute_s: float,
+    encode_s: float,
+    slo_threshold_s: float,
+    exemplar: Optional[str] = None,
+) -> None:
+    """Record one served request: phase or stage latencies, the cascade's
+    skips, ``total_s`` with its latency-SLO verdict, and the outcome."""
+    metrics.observe("decode_s", decode_s)
+    if report.mode == "cascade":
+        for name, seconds in report.stage_latency_s.items():
+            metrics.observe(f"stage_{name}_s", seconds)
+        for name in report.skipped:
+            metrics.increment(f"stage_skipped_{name}")
+        if report.skipped:
+            metrics.increment("cascade_early_exits")
+    else:
+        identity_s = report.stage_latency_s.get("identity", 0.0)
+        metrics.observe("detection_s", execute_s - identity_s)
+        metrics.observe("identity_s", identity_s)
+        metrics.observe("encode_s", encode_s)
+    total_s = decode_s + execute_s + encode_s
+    metrics.observe("total_s", total_s, exemplar=exemplar)
+    metrics.increment(
+        "slo_latency_good" if total_s < slo_threshold_s else "slo_latency_bad"
+    )
+    metrics.increment("requests_completed")
+    metrics.increment("accepted" if report.accepted else "rejected")
 
 
 @dataclass
 class VerificationServer:
     """In-process stand-in for the paper's Tornado backend.
 
-    Handles exactly one request at a time; the concurrent serving path is
+    Handles exactly one request at a time, in strict mode, with identity
+    scored directly; the concurrent serving path is
     :class:`~repro.server.gateway.Gateway`, which produces bitwise-equal
     decisions for the same frames.
     """
@@ -141,7 +137,6 @@ class VerificationServer:
     #: behaviour) and crash-retry budget, passed through to the scheduler.
     component_timeout_s: Optional[float] = None
     component_retries: int = 0
-    metrics: Optional[MetricsRegistry] = None
     last_stats: Optional[RequestStats] = None
 
     def handle(self, request_frame: bytes) -> bytes:
@@ -149,43 +144,27 @@ class VerificationServer:
         t0 = time.perf_counter()
         capture, claimed, request_id = decode_request_full(request_frame)
         t_decoded = time.perf_counter()
-
-        jobs = machine_detection_jobs(self.system, capture, claimed)
-        job_results = self.scheduler.run_all(
-            jobs, timeout_s=self.component_timeout_s, retries=self.component_retries
+        report = execute(
+            self.system,
+            capture,
+            claimed,
+            cascade=False,
+            fan_out=scheduler_fan_out(
+                self.scheduler, self.component_timeout_s, self.component_retries
+            ),
         )
-        results = collect_detection_results(job_results)
-        t_detection = time.perf_counter()
-
-        if "identity" in self.system.enabled_components and claimed is not None:
-            with stage_scope("identity"):
-                results["identity"] = self.system.identity.verify(
-                    capture, claimed
-                )
-        t_identity = time.perf_counter()
-
-        accepted = all(r.passed for r in results.values())
-        payload: Dict[str, Tuple[bool, float, str]] = {
-            name: (r.passed, r.score, r.detail) for name, r in results.items()
-        }
-        evidence = {name: dict(r.evidence) for name, r in results.items()}
+        t_executed = time.perf_counter()
+        payload, evidence = decision_fields(report)
         frame = encode_decision(
-            accepted, payload, request_id=request_id, evidence=evidence
+            report.accepted, payload, request_id=request_id, evidence=evidence
         )
-        t_done = time.perf_counter()
+        identity_s = report.stage_latency_s.get("identity", 0.0)
         self.last_stats = RequestStats(
             decode_s=t_decoded - t0,
-            detection_s=t_detection - t_decoded,
-            identity_s=t_identity - t_detection,
-            total_s=t_done - t0,
+            detection_s=t_executed - t_decoded - identity_s,
+            identity_s=identity_s,
+            total_s=time.perf_counter() - t0,
         )
-        if self.metrics is not None:
-            self.metrics.observe("decode_s", t_decoded - t0)
-            self.metrics.observe("detection_s", t_detection - t_decoded)
-            self.metrics.observe("identity_s", t_identity - t_detection)
-            self.metrics.observe("total_s", t_done - t0)
-            self.metrics.increment("requests_completed")
-            self.metrics.increment("accepted" if accepted else "rejected")
         return frame
 
     def close(self) -> None:

@@ -6,7 +6,9 @@ same cascade into a gateway that accepts many request frames at once:
 - requests flow through a **bounded work queue** drained by a
   configurable pool of request workers (backpressure instead of
   unbounded memory growth);
-- the machine-detection components of each request fan out on a shared
+- each request runs the one executor,
+  :func:`~repro.core.pipeline.execute`, with its machine-detection
+  components fanned out on a shared
   :class:`~repro.server.scheduler.JobScheduler` with a **per-component
   execution timeout and bounded crash retry** — a hung or crashing
   component degrades to a scored rejection without stalling the request
@@ -24,7 +26,7 @@ same cascade into a gateway that accepts many request frames at once:
 
 Decisions are bitwise-equal to the sequential
 :class:`~repro.server.backend.VerificationServer` for the same frames:
-both paths share the cascade helpers and the batched scorer is
+every mode runs the same executor and the batched scorer is
 mean-per-slice over row-independent likelihoods.
 """
 
@@ -36,14 +38,13 @@ import threading
 import time
 from concurrent.futures import Future
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.analysis import lockset, sanitize
-from repro.core.cascade import stage_scope
+from repro.analysis import lockset
 from repro.core.config import GatewayConfig
-from repro.core.decision import ComponentResult
+from repro.core.decision import ComponentResult, VerificationReport
 from repro.core.identity import IdentityVerifier
-from repro.core.pipeline import DefenseSystem
+from repro.core.pipeline import DefenseSystem, execute
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.abuse import AbuseDetector
 from repro.obs.drift import DriftRegistry
@@ -52,12 +53,7 @@ from repro.obs.exporters import AuditJsonlExporter, prometheus_exposition
 from repro.obs.provenance import DecisionRecord
 from repro.obs.slo import SLOEngine
 from repro.obs.trace import NULL_TRACER, Span, Tracer
-from repro.server.backend import (
-    cascade_order,
-    cascade_split,
-    collect_detection_results,
-    machine_detection_jobs,
-)
+from repro.server.backend import decision_fields, observe_request, scheduler_fan_out
 from repro.server.metrics import MetricsRegistry
 from repro.server.protocol import (
     KIND_TELEMETRY_REQUEST,
@@ -80,12 +76,58 @@ __all__ = [
     "create_gateway",
 ]
 
+#: Bound of each shard's work queue (per-shard backpressure).
+SHARD_QUEUE_DEPTH = 32
+#: How often the shard supervisor polls worker liveness (seconds).
+HEALTH_CHECK_INTERVAL_S = 0.1
+
 
 def _events_section(recorder: WideEventRecorder) -> Dict[str, object]:
     """The ``events`` telemetry payload: stats + the recent kept rows."""
     section = recorder.stats()
     section["recent"] = [e.to_dict() for e in recorder.recent()]
     return section
+
+
+def _drift_section(drift: DriftRegistry) -> Dict[str, object]:
+    """The ``drift`` telemetry payload: per-stage snapshots + alerts."""
+    return {
+        "stages": drift.snapshot(),
+        "alerts": [str(a) for a in drift.alerts()],
+    }
+
+
+def _record_outcome(
+    gateway: Union["Gateway", "ShardedGateway"],
+    report: VerificationReport,
+    request_id: str,
+    trace_id: str,
+    duration_s: float,
+    shard_id: Optional[int] = None,
+) -> Optional[str]:
+    """Audit row, abuse observation and wide event of one served report.
+
+    Returns the exemplar id for the request's latency observation when
+    tail sampling kept the event, else ``None``.
+    """
+    record = DecisionRecord.from_report(
+        report,
+        cascade_plan=gateway.system.cascade_plan,
+        request_id=request_id,
+        trace_id=trace_id,
+    )
+    if gateway.audit is not None:
+        gateway.audit.write(record)
+    identity = report.components.get("identity")
+    gateway.abuse.observe(
+        report.claimed_speaker, identity.score if identity is not None else None
+    )
+    event = WideEvent.from_record_row(
+        record.to_dict(), duration_s=duration_s, shard_id=shard_id
+    )
+    if gateway.events.record(event) is None:
+        return None
+    return event.trace_id or event.request_id or None
 
 
 class _BatchEntry:
@@ -99,7 +141,6 @@ class _BatchEntry:
 
     __slots__ = (
         "capture",
-        "claimed",
         "done",
         "result",
         "error",
@@ -107,9 +148,8 @@ class _BatchEntry:
         "batch_size",
     )
 
-    def __init__(self, capture: SensorCapture, claimed: str):
+    def __init__(self, capture: SensorCapture):
         self.capture = capture
-        self.claimed = claimed
         self.done = threading.Event()
         self.result: Optional[ComponentResult] = None
         self.error: Optional[BaseException] = None
@@ -127,25 +167,16 @@ class _Bucket:
         self.full = threading.Event()
 
 
-#: Shared-bucket key used when cross-speaker batching is enabled: every
-#: concurrent request gathers in one bucket regardless of claimed speaker.
-_CROSS_BUCKET = "\x00cross"
-
-
 class _IdentityBatcher:
     """Leader/follower micro-batching of identity scoring.
 
-    The first request to arrive for a bucket becomes the batch leader: it
-    waits up to ``window_s`` (or until ``max_batch`` peers have gathered),
-    then scores the whole bucket and hands each follower its result.  By
-    default a bucket holds one claimed speaker and scoring runs through
-    :meth:`IdentityVerifier.verify_batch`; with ``cross_speaker=True``
-    every concurrent request shares a single bucket and the batch runs
-    through :meth:`IdentityVerifier.verify_multi`, which fuses the UBM
-    likelihood pass across *all* users' frames instead of one speaker's.
-    If batch scoring fails as a whole, every entry falls back to the
-    sequential scorer so per-request semantics (including raised errors)
-    match the sequential server exactly.
+    The first request to arrive for a claimed speaker becomes the batch
+    leader: it waits up to ``window_s`` (or until ``max_batch`` peers
+    claiming the same speaker have gathered), then scores the whole
+    bucket through :meth:`IdentityVerifier.verify_batch` and hands each
+    follower its result.  If batch scoring fails as a whole, every entry
+    falls back to the sequential scorer so per-request semantics
+    (including raised errors) match the sequential server exactly.
     """
 
     def __init__(
@@ -155,35 +186,32 @@ class _IdentityBatcher:
         max_batch: int,
         metrics: MetricsRegistry,
         tracer: Tracer = NULL_TRACER,
-        cross_speaker: bool = False,
     ):
         self._identity = identity
         self._window_s = window_s
         self._max_batch = max_batch
         self._metrics = metrics
         self._tracer = tracer
-        self._cross_speaker = cross_speaker
         self._lock = threading.Lock()
         self._buckets: Dict[str, _Bucket] = {}  # guarded-by: _lock
         lockset.register(self)
 
     def score(
-        self, claimed: str, capture: SensorCapture, span: Optional[Span] = None
+        self, capture: SensorCapture, claimed: str, span: Optional[Span] = None
     ) -> ComponentResult:
-        entry = _BatchEntry(capture, claimed)
-        key = _CROSS_BUCKET if self._cross_speaker else claimed
+        entry = _BatchEntry(capture)
         with self._lock:
-            bucket = self._buckets.get(key)
+            bucket = self._buckets.get(claimed)
             leader = bucket is None
             if leader:
-                bucket = self._buckets[key] = _Bucket()
+                bucket = self._buckets[claimed] = _Bucket()
             bucket.entries.append(entry)
             if len(bucket.entries) >= self._max_batch:
                 bucket.full.set()
         if leader:
             bucket.full.wait(self._window_s)
             with self._lock:
-                self._buckets.pop(key, None)
+                self._buckets.pop(claimed, None)
                 entries = list(bucket.entries)
             self._run_batch(claimed, entries)
         else:
@@ -202,36 +230,24 @@ class _IdentityBatcher:
         return entry.result
 
     def _run_batch(self, claimed: str, entries: List[_BatchEntry]) -> None:
-        distinct = len({e.claimed for e in entries})
         self._metrics.increment("identity_batches")
         self._metrics.observe("identity_batch_size", len(entries))
-        self._metrics.observe("identity_batch_speakers", distinct)
         if len(entries) > 1:
             self._metrics.increment("identity_batched_requests", len(entries))
-        if distinct > 1:
-            self._metrics.increment("identity_cross_batches")
         attrs: Optional[Dict[str, object]] = None
         if self._tracer.enabled:
-            attrs = {"batch_size": len(entries), "distinct_speakers": distinct}
-            if not self._cross_speaker:
-                attrs["claimed_speaker"] = claimed
-        with self._tracer.span("identity.batch", attrs=attrs) as batch_span, stage_scope("identity"):
+            attrs = {"batch_size": len(entries), "claimed_speaker": claimed}
+        with self._tracer.span("identity.batch", attrs=attrs) as batch_span:
             try:
-                if self._cross_speaker:
-                    results = self._identity.verify_multi(
-                        [e.capture for e in entries],
-                        [e.claimed for e in entries],
-                    )
-                else:
-                    results = self._identity.verify_batch(
-                        [e.capture for e in entries], claimed
-                    )
+                results = self._identity.verify_batch(
+                    [e.capture for e in entries], claimed
+                )
                 for e, result in zip(entries, results):
                     e.result = result
             except BaseException:  # noqa: BLE001 - refuse collective failure
                 for e in entries:
                     try:
-                        e.result = self._identity.verify(e.capture, e.claimed)
+                        e.result = self._identity.verify(e.capture, claimed)
                     except BaseException as exc:  # noqa: BLE001 - per entry
                         e.error = exc
             finally:
@@ -241,7 +257,161 @@ class _IdentityBatcher:
                     e.done.set()
 
 
-class Gateway:
+class _ServingTier:
+    """What both serving tiers share: the observability sinks, request
+    submission with its telemetry-scrape bypass, the synchronous
+    wrappers, and the telemetry answer.
+
+    Subclasses hand request frames to their workers in :meth:`_enqueue`
+    and name the registry a scrape reads in :meth:`_registry`.
+    """
+
+    def __init__(
+        self,
+        system: DefenseSystem,
+        config: GatewayConfig,
+        tracer: Optional[Tracer],
+        drift: Optional[DriftRegistry],
+        audit: Optional[AuditJsonlExporter],
+        slo: Optional[SLOEngine],
+        abuse: Optional[AbuseDetector],
+        events: Optional[WideEventRecorder],
+    ):
+        self.system = system
+        self.config = config
+        if config.enable_magliveness:
+            # A/B flag for the MagLive-style fifth stage: applied once,
+            # before any request worker starts or any shard forks, so
+            # every request this tier serves sees the same component set.
+            system.enable_component("magliveness")
+        self.metrics = MetricsRegistry()
+        #: Request tracer; the shared no-op by default, so serving pays
+        #: nothing until a real tracer is attached.
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Per-stage score-drift monitors (always on: a record is a lock
+        #: and a ring-buffer write).
+        self.drift = drift if drift is not None else DriftRegistry()
+        #: Optional decision audit log (one JSONL row per decision).
+        self.audit = audit
+        #: SLO burn-rate engine, evaluated at scrape time over
+        #: :meth:`_registry`.
+        self.slo = slo if slo is not None else SLOEngine()
+        #: Per-speaker probe detection (sticky flags, never decisions).
+        self.abuse = abuse if abuse is not None else AbuseDetector()
+        #: Tail-sampled wide events; in-memory by default, pass a
+        #: recorder with a path to persist JSONL.
+        self.events = (
+            events
+            if events is not None
+            else WideEventRecorder(
+                slow_threshold_s=config.slo_latency_threshold_s,
+                alert_probe=lambda: self.abuse.has_alerts,
+            )
+        )
+        self._lock = threading.Lock()
+        self._closed = False  # guarded-by: _lock
+
+    def submit(self, request_frame: bytes, block: bool = True) -> "Future[bytes]":
+        """Hand one request frame to the workers; resolves to the
+        decision frame.
+
+        With ``block=False`` a full work queue raises
+        :class:`~repro.errors.ConfigurationError` immediately instead of
+        applying backpressure.
+
+        Telemetry-request frames (see
+        :func:`~repro.server.protocol.encode_telemetry_request`) are
+        answered immediately — a metrics scrape never queues behind
+        verification work and resolves to a telemetry response frame
+        instead of a decision frame.
+        """
+        with self._lock:
+            if self._closed:
+                raise ConfigurationError("gateway has been closed")
+        try:
+            kind = frame_kind(request_frame)
+        except ProtocolError:
+            kind = 0  # malformed header: the request path surfaces it
+        future: "Future[bytes]" = Future()
+        if kind == KIND_TELEMETRY_REQUEST:
+            try:
+                future.set_result(self._handle_telemetry(request_frame))
+            except ProtocolError as exc:
+                self.metrics.increment("protocol_errors")
+                future.set_exception(exc)
+            return future
+        self._enqueue(request_frame, future, block)
+        return future
+
+    def _enqueue(
+        self, request_frame: bytes, future: "Future[bytes]", block: bool
+    ) -> None:
+        raise NotImplementedError
+
+    def handle(self, request_frame: bytes) -> bytes:
+        """Synchronous convenience wrapper (drop-in for the server)."""
+        return self.submit(request_frame).result()
+
+    def handle_many(self, request_frames: Sequence[bytes]) -> List[bytes]:
+        """Submit a burst of frames; decision frames in request order."""
+        futures = [self.submit(frame) for frame in request_frames]
+        return [f.result() for f in futures]
+
+    # ------------------------------------------------------------------
+    # Telemetry
+    # ------------------------------------------------------------------
+    def _registry(self) -> MetricsRegistry:
+        """The whole-system registry a scrape reads."""
+        return self.metrics
+
+    def _summarize(self, registry: MetricsRegistry) -> Dict[str, object]:
+        summary = registry.summary()
+        summary["throughput_rps"] = registry.throughput()
+        summary["windowed_throughput_rps"] = registry.windowed_throughput()
+        if self.config.cascade:
+            summary["stages"] = registry.stage_report()
+        return summary
+
+    def metrics_summary(self) -> Dict[str, object]:
+        """Registry summary plus throughput (and the cascade's stage
+        report), with each tier's extras."""
+        return self._summarize(self._registry())
+
+    def _handle_telemetry(self, frame: bytes) -> bytes:
+        """Answer a telemetry-scrape frame from the live registry."""
+        sections, request_id = decode_telemetry_request(frame)
+        registry = self._registry()
+        telemetry: Dict[str, object] = {}
+        for section in sections:
+            if section == "summary":
+                telemetry["summary"] = self._summarize(registry)
+            elif section == "prometheus":
+                telemetry["prometheus"] = prometheus_exposition(registry)
+            elif section == "stages":
+                telemetry["stages"] = registry.stage_report()
+            elif section == "drift":
+                telemetry["drift"] = _drift_section(self.drift)
+            elif section == "slo":
+                telemetry["slo"] = self.slo.evaluate(registry)
+            elif section == "abuse":
+                telemetry["abuse"] = self.abuse.snapshot()
+            elif section == "events":
+                telemetry["events"] = _events_section(self.events)
+            # Unknown sections are omitted so old clients can probe.
+        self.metrics.increment("telemetry_scrapes")
+        return encode_telemetry_response(telemetry, request_id)
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def __enter__(self) -> "_ServingTier":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class Gateway(_ServingTier):
     """Concurrent front door over a trained :class:`DefenseSystem`.
 
     Usage::
@@ -266,60 +436,41 @@ class Gateway:
         abuse: Optional[AbuseDetector] = None,
         events: Optional[WideEventRecorder] = None,
     ):
-        self.system = system
-        self.config = config or GatewayConfig()
-        if self.config.enable_magliveness:
-            # A/B flag for the MagLive-style fifth stage: applied once,
-            # before any request worker starts, so every request this
-            # gateway serves sees the same component set.
-            self.system.enable_component("magliveness")
-        self.metrics = MetricsRegistry(window=self.config.metrics_window)
-        #: SLO burn-rate engine (evaluated at scrape time; per-request
-        #: cost is two counter bumps for the latency objective).
-        self.slo = slo if slo is not None else SLOEngine()
-        #: Per-speaker probe detection (sticky flags, never decisions).
-        self.abuse = abuse if abuse is not None else AbuseDetector()
-        #: Tail-sampled wide events; in-memory by default, pass a
-        #: recorder with a path to persist JSONL.
-        self.events = (
-            events
-            if events is not None
-            else WideEventRecorder(
-                slow_threshold_s=self.config.slo_latency_threshold_s,
-                alert_probe=lambda: self.abuse.has_alerts,
-            )
+        super().__init__(
+            system,
+            config or GatewayConfig(),
+            tracer,
+            drift,
+            audit,
+            slo,
+            abuse,
+            events,
         )
-        #: Request tracer; the shared no-op by default, so serving pays
-        #: nothing until a real tracer is attached.  An enabled tracer is
-        #: also pushed into the system's components, so DSP kernel spans
-        #: nest under the request's stage spans.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled:
+            # DSP kernel spans then nest under the request's stage spans.
             self.system.set_tracer(self.tracer)
-        #: Per-stage score-drift monitors (always on: a record is a lock
-        #: and a ring-buffer write).
-        self.drift = drift if drift is not None else DriftRegistry()
-        #: Optional decision audit log (one JSONL row per decision).
-        self.audit = audit
         component_workers = (
             self.config.component_workers
             if self.config.component_workers is not None
             else 3 * self.config.request_workers
         )
         self._scheduler = JobScheduler(workers=component_workers)
+        self._fan_out = scheduler_fan_out(
+            self._scheduler,
+            self.config.component_timeout_s,
+            self.config.component_retries,
+            self.metrics,
+        )
         self._batcher = _IdentityBatcher(
             system.identity,
             self.config.batch_window_s,
             self.config.max_batch,
             self.metrics,
             tracer=self.tracer,
-            cross_speaker=self.config.cross_speaker_batching,
         )
         self._queue: (
             "queue.Queue[Optional[Tuple[bytes, Future, float, Optional[Span]]]]"
         ) = queue.Queue(maxsize=self.config.max_queue)
-        self._lock = threading.Lock()
-        self._closed = False  # guarded-by: _lock
         # Instrument BEFORE the workers start: the lockset detector must
         # see every cross-thread access from the first request on.
         lockset.register(self)
@@ -332,37 +483,9 @@ class Gateway:
         for t in self._threads:
             t.start()
 
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    def submit(self, request_frame: bytes, block: bool = True) -> "Future[bytes]":
-        """Enqueue one request frame; resolves to the decision frame.
-
-        With ``block=False`` a full admission queue raises
-        :class:`~repro.errors.ConfigurationError` immediately instead of
-        applying backpressure.
-
-        Telemetry-request frames (see
-        :func:`~repro.server.protocol.encode_telemetry_request`) are
-        answered immediately from the registry — a metrics scrape never
-        queues behind verification work and resolves to a telemetry
-        response frame instead of a decision frame.
-        """
-        with self._lock:
-            if self._closed:
-                raise ConfigurationError("gateway has been closed")
-        try:
-            kind = frame_kind(request_frame)
-        except ProtocolError:
-            kind = 0  # malformed header: let the worker surface the error
-        future: "Future[bytes]" = Future()
-        if kind == KIND_TELEMETRY_REQUEST:
-            try:
-                future.set_result(self._handle_telemetry(request_frame))
-            except ProtocolError as exc:
-                self.metrics.increment("protocol_errors")
-                future.set_exception(exc)
-            return future
+    def _enqueue(
+        self, request_frame: bytes, future: "Future[bytes]", block: bool
+    ) -> None:
         root = self.tracer.begin("request") if self.tracer.enabled else None
         item = (request_frame, future, time.monotonic(), root)
         try:
@@ -376,16 +499,6 @@ class Gateway:
                 f"gateway queue is full ({self.config.max_queue} requests)"
             ) from None
         self.metrics.increment("requests_submitted")
-        return future
-
-    def handle(self, request_frame: bytes) -> bytes:
-        """Synchronous convenience wrapper (drop-in for the server)."""
-        return self.submit(request_frame).result()
-
-    def handle_many(self, request_frames: Sequence[bytes]) -> List[bytes]:
-        """Submit a burst of frames; decision frames in request order."""
-        futures = [self.submit(frame) for frame in request_frames]
-        return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
     # Request pipeline
@@ -424,126 +537,6 @@ class Gateway:
         span.duration_s = duration_s
         span.start_wall -= duration_s
 
-    def _run_detection(
-        self, jobs: Dict[str, Callable[[], ComponentResult]]
-    ) -> Dict[str, ComponentResult]:
-        """Scheduler fan-out + fail-closed folding for detection jobs."""
-        job_results = self._scheduler.run_all(
-            jobs,
-            timeout_s=self.config.component_timeout_s,
-            retries=self.config.component_retries,
-        )
-        for jr in job_results.values():
-            if jr.timed_out:
-                self.metrics.increment("component_timeouts")
-            if jr.attempts > 1:
-                self.metrics.increment("component_retries", jr.attempts - 1)
-        return collect_detection_results(job_results)
-
-    def _traced_job(
-        self,
-        name: str,
-        fn: Callable[[], ComponentResult],
-        parent: Optional[Span],
-    ) -> Callable[[], ComponentResult]:
-        """Wrap a component job so its stage span opens in the *executing*
-        thread — DSP kernel spans then nest under it via the thread-local
-        stack even though the job runs on a scheduler worker."""
-
-        def call() -> ComponentResult:
-            with self.tracer.span(f"stage.{name}", parent=parent) as span:
-                result = fn()
-                span.set_attrs({"passed": result.passed, "score": result.score})
-                return result
-
-        return call
-
-    def _record_drift(self, results: Dict[str, ComponentResult]) -> None:
-        for name, result in results.items():
-            self.drift.record(name, result.score)  # non-finite are filtered
-
-    def _observe_request(
-        self,
-        duration_s: float,
-        accepted: bool,
-        results: Dict[str, ComponentResult],
-        claimed: Optional[str],
-        request_id: Optional[str],
-        root: Optional[Span],
-        mode: str,
-        skipped: Tuple[str, ...] = (),
-        early_exit: Optional[str] = None,
-    ) -> None:
-        """Per-request telemetry fan-out: latency SLO counters, abuse
-        observation, the tail-sampled wide event, and the ``total_s``
-        observation (with an exemplar trace id when the event was kept,
-        so Prometheus buckets link to real requests)."""
-        self.metrics.increment(
-            "slo_latency_good"
-            if duration_s < self.config.slo_latency_threshold_s
-            else "slo_latency_bad"
-        )
-        identity = results.get("identity")
-        self.abuse.observe(
-            claimed, identity.score if identity is not None else None
-        )
-        statuses = {
-            name: ("pass" if r.passed else "reject")
-            for name, r in results.items()
-        }
-        for name in skipped:
-            statuses[name] = "skipped"
-        event = WideEvent(
-            request_id=request_id or "",
-            trace_id=root.trace_id if root is not None else "",
-            claimed_speaker=claimed,
-            mode=mode,
-            decision="accept" if accepted else "reject",
-            duration_s=duration_s,
-            early_exit_stage=early_exit,
-            stage_scores={n: r.score for n, r in results.items()},
-            stage_statuses=statuses,
-        )
-        kept = self.events.record(event)
-        exemplar = (
-            (event.trace_id or event.request_id or None)
-            if kept is not None
-            else None
-        )
-        self.metrics.observe("total_s", duration_s, exemplar=exemplar)
-
-    def _finalize(
-        self,
-        root: Optional[Span],
-        accepted: bool,
-        results: Dict[str, ComponentResult],
-        claimed: Optional[str],
-        request_id: Optional[str],
-        mode: str,
-        skipped: Tuple[str, ...] = (),
-        early_exit: Optional[str] = None,
-    ) -> None:
-        """Audit-log the decision and close the request's root span."""
-        if self.audit is not None:
-            self.audit.write(
-                DecisionRecord.build(
-                    accepted=accepted,
-                    components=results,
-                    claimed_speaker=claimed,
-                    mode=mode,
-                    skipped=skipped,
-                    early_exit_stage=early_exit,
-                    cascade_plan=self.system.cascade_plan,
-                    request_id=request_id or "",
-                    trace_id=root.trace_id if root is not None else "",
-                )
-            )
-        if root is not None:
-            root.set_attr("decision", "accept" if accepted else "reject")
-            if early_exit is not None:
-                root.set_attr("early_exit_stage", early_exit)
-            self.tracer.end(root)
-
     def _process(
         self, frame: bytes, future: "Future[bytes]", root: Optional[Span] = None
     ) -> None:
@@ -567,245 +560,64 @@ class Gateway:
                     "mode": "cascade" if self.config.cascade else "strict",
                 }
             )
-
-        if self.config.cascade:
-            self._process_cascade(
-                capture, claimed, request_id, future, t0, t_decoded, root
+        try:
+            report = execute(
+                self.system,
+                capture,
+                claimed,
+                cascade=self.config.cascade,
+                fan_out=self._fan_out,
+                score_identity=self._batcher.score,
+                parent=root,
+                tracer=self.tracer,
             )
+        except BaseException as exc:  # noqa: BLE001 - surfaced via the future
+            self.metrics.increment("identity_errors")
+            if root is not None:
+                self.tracer.end(root, status="error")
+            future.set_exception(exc)
             return
-
-        jobs = machine_detection_jobs(self.system, capture, claimed)
-        if self.tracer.enabled:
-            jobs = {
-                name: self._traced_job(name, fn, root)
-                for name, fn in jobs.items()
-            }
-        results = self._run_detection(jobs)
-        t_detection = time.perf_counter()
-
-        if "identity" in self.system.enabled_components and claimed is not None:
-            try:
-                with self.tracer.span("stage.identity", parent=root) as ispan:
-                    result = self._batcher.score(claimed, capture, span=ispan)
-                    ispan.set_attrs(
-                        {"passed": result.passed, "score": result.score}
-                    )
-                results["identity"] = result
-            except BaseException as exc:  # noqa: BLE001 - surfaced via the future
-                self.metrics.increment("identity_errors")
-                if root is not None:
-                    self.tracer.end(root, status="error")
-                future.set_exception(exc)
-                return
-        t_identity = time.perf_counter()
-
-        self._record_drift(results)
-        sanitize.check_results(results)
-        accepted = all(r.passed for r in results.values())
-        payload: Dict[str, Tuple[bool, float, str]] = {
-            name: (r.passed, r.score, r.detail) for name, r in results.items()
-        }
-        evidence = {name: dict(r.evidence) for name, r in results.items()}
+        t_executed = time.perf_counter()
+        payload, evidence = decision_fields(report)
         decision_frame = encode_decision(
-            accepted, payload, request_id=request_id, evidence=evidence
+            report.accepted, payload, request_id=request_id, evidence=evidence
         )
         t_done = time.perf_counter()
 
-        self.metrics.observe("decode_s", t_decoded - t0)
-        self.metrics.observe("detection_s", t_detection - t_decoded)
-        self.metrics.observe("identity_s", t_identity - t_detection)
-        self.metrics.observe("encode_s", t_done - t_identity)
-        self.metrics.increment("requests_completed")
-        self.metrics.increment("accepted" if accepted else "rejected")
-        self._observe_request(
-            t_done - t0, accepted, results, claimed, request_id, root,
-            mode="strict",
-        )
-        self._finalize(root, accepted, results, claimed, request_id, mode="strict")
-        future.set_result(decision_frame)
-
-    def _process_cascade(
-        self,
-        capture: SensorCapture,
-        claimed: Optional[str],
-        request_id: Optional[str],
-        future: "Future[bytes]",
-        t0: float,
-        t_decoded: float,
-        root: Optional[Span] = None,
-    ) -> None:
-        """Cost-ordered serving: cheap gates sequentially, expensive tail
-        in parallel, early exit on any confident rejection.
-
-        The final decision is identical to the strict path: ACCEPT needs
-        every enabled stage to pass, and a stage is only skipped after an
-        upstream stage has already rejected.
-        """
-        order = cascade_order(self.system, claimed)
-        gates, tail = cascade_split(order)
-        jobs = machine_detection_jobs(self.system, capture, claimed)
-        results: Dict[str, ComponentResult] = {}
-        skipped: Tuple[str, ...] = ()
-        early_exit: Optional[str] = None
-
-        def run_stage(name: str) -> ComponentResult:
-            with self.metrics.time(f"stage_{name}_s"):
-                if name == "identity":
-                    with self.tracer.span("stage.identity", parent=root) as span:
-                        result = self._batcher.score(claimed, capture, span=span)
-                        span.set_attrs(
-                            {"passed": result.passed, "score": result.score}
-                        )
-                    return result
-                job = jobs[name]
-                if self.tracer.enabled:
-                    job = self._traced_job(name, job, root)
-                return self._run_detection({name: job})[name]
-
-        for i, name in enumerate(gates):
-            try:
-                result = run_stage(name)
-            except BaseException as exc:  # noqa: BLE001 - surfaced via the future
-                self.metrics.increment("identity_errors")
-                if root is not None:
-                    self.tracer.end(root, status="error")
-                future.set_exception(exc)
-                return
-            results[name] = result
-            if self.system.cascade_plan.confident_reject(result, self.system.config):
-                skipped = order[i + 1 :]
-                early_exit = name
-                break
-        if not skipped and tail:
-
-            def timed_job(
-                name: str, fn: Callable[[], ComponentResult]
-            ) -> Callable[[], ComponentResult]:
-                traced = (
-                    self._traced_job(name, fn, root)
-                    if self.tracer.enabled
-                    else fn
-                )
-
-                def call() -> ComponentResult:
-                    with self.metrics.time(f"stage_{name}_s"):
-                        return traced()
-
-                return call
-
-            tail_jobs = {
-                name: timed_job(name, jobs[name])
-                for name in tail
-                if name != "identity"
-            }
-            if tail_jobs:
-                results.update(self._run_detection(tail_jobs))
-            if "identity" in tail:
-                try:
-                    results["identity"] = run_stage("identity")
-                except BaseException as exc:  # noqa: BLE001
-                    self.metrics.increment("identity_errors")
-                    if root is not None:
-                        self.tracer.end(root, status="error")
-                    future.set_exception(exc)
-                    return
-
-        for name in skipped:
-            self.metrics.increment(f"stage_skipped_{name}")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    f"stage.{name}",
-                    parent=root,
-                    status="skipped",
-                    attrs={
-                        "skip_reason": (
-                            f"upstream stage {early_exit!r} rejected confidently"
-                        ),
-                        "cost_saved_ms": self.system.cascade_plan.estimated_cost_ms(
-                            (name,)
-                        ),
-                    },
-                )
-        if skipped:
-            self.metrics.increment("cascade_early_exits")
-
-        self._record_drift(results)
-        sanitize.check_results(results)
-        accepted = all(r.passed for r in results.values())
-        payload: Dict[str, Tuple[bool, float, str]] = {
-            name: (r.passed, r.score, r.detail) for name, r in results.items()
-        }
-        evidence = {name: dict(r.evidence) for name, r in results.items()}
-        decision_frame = encode_decision(
-            accepted, payload, request_id=request_id, evidence=evidence
-        )
-        t_done = time.perf_counter()
-
-        self.metrics.observe("decode_s", t_decoded - t0)
-        self.metrics.increment("requests_completed")
-        self.metrics.increment("accepted" if accepted else "rejected")
-        self._observe_request(
-            t_done - t0, accepted, results, claimed, request_id, root,
-            mode="cascade", skipped=skipped, early_exit=early_exit,
-        )
-        self._finalize(
-            root,
-            accepted,
-            results,
-            claimed,
+        for name, result in report.components.items():
+            self.drift.record(name, result.score)  # non-finite are filtered
+        exemplar = _record_outcome(
+            self,
+            report,
             request_id,
-            mode="cascade",
-            skipped=skipped,
-            early_exit=early_exit,
+            root.trace_id if root is not None else "",
+            t_done - t0,
         )
+        observe_request(
+            self.metrics,
+            report,
+            decode_s=t_decoded - t0,
+            execute_s=t_executed - t_decoded,
+            encode_s=t_done - t_executed,
+            slo_threshold_s=self.config.slo_latency_threshold_s,
+            exemplar=exemplar,
+        )
+        if root is not None:
+            self.tracer.end(root)
         future.set_result(decision_frame)
 
     # ------------------------------------------------------------------
     # Reporting / lifecycle
     # ------------------------------------------------------------------
-    def _handle_telemetry(self, frame: bytes) -> bytes:
-        """Answer a telemetry-scrape frame from the live registry."""
-        sections, request_id = decode_telemetry_request(frame)
-        telemetry: Dict[str, object] = {}
-        for section in sections:
-            if section == "summary":
-                telemetry["summary"] = self.metrics_summary()
-            elif section == "prometheus":
-                telemetry["prometheus"] = prometheus_exposition(self.metrics)
-            elif section == "stages":
-                telemetry["stages"] = self.metrics.stage_report()
-            elif section == "drift":
-                telemetry["drift"] = {
-                    "stages": self.drift.snapshot(),
-                    "alerts": [str(a) for a in self.drift.alerts()],
-                }
-            elif section == "slo":
-                telemetry["slo"] = self.slo.evaluate(self.metrics)
-            elif section == "abuse":
-                telemetry["abuse"] = self.abuse.snapshot()
-            elif section == "events":
-                telemetry["events"] = _events_section(self.events)
-            # Unknown sections are omitted so old clients can probe.
-        self.metrics.increment("telemetry_scrapes")
-        return encode_telemetry_response(telemetry, request_id)
-
-    def metrics_summary(self) -> Dict[str, object]:
-        """Registry summary plus cache counters, throughput and drift."""
-        summary = self.metrics.summary()
+    def _summarize(self, registry: MetricsRegistry) -> Dict[str, object]:
+        summary = super()._summarize(registry)
         cache = self.system.soundfield_cache_stats
         summary["soundfield_cache"] = {
             "hits": cache.hits,
             "misses": cache.misses,
             "evictions": cache.evictions,
         }
-        summary["throughput_rps"] = self.metrics.throughput()
-        summary["windowed_throughput_rps"] = self.metrics.windowed_throughput()
-        summary["drift"] = {
-            "stages": self.drift.snapshot(),
-            "alerts": [str(a) for a in self.drift.alerts()],
-        }
-        if self.config.cascade:
-            summary["stages"] = self.metrics.stage_report()
+        summary["drift"] = _drift_section(self.drift)
         return summary
 
     def close(self) -> None:
@@ -819,12 +631,6 @@ class Gateway:
         for t in self._threads:
             t.join(timeout=30.0)
         self._scheduler.shutdown()
-
-    def __enter__(self) -> "Gateway":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class _PendingRequest:
@@ -848,7 +654,7 @@ class _PendingRequest:
         self.root = root
 
 
-class ShardedGateway:
+class ShardedGateway(_ServingTier):
     """Shared-nothing process-shard serving tier.
 
     ``GatewayConfig(shards=N)`` forks N :mod:`~repro.server.shard`
@@ -861,15 +667,17 @@ class ShardedGateway:
     speaker off each request frame (cheap JSON-only decode), routes the
     frame bytes verbatim onto the owning shard's bounded queue
     (pickled once, by the queue itself), and collects decision frames,
-    provenance rows, and trace fragments off each shard's private
+    verification reports, and trace fragments off each shard's private
     result pipe (single writer, no cross-process lock — a dying shard
-    cannot wedge its peers' replies).  A health monitor replaces dead
-    shards and fails their in-flight requests **closed** with a
-    provenance-carrying rejection frame.
+    cannot wedge its peers' replies).  The report becomes the audit row,
+    wide event and abuse observation here, through the same helper the
+    threaded gateway uses.  A health monitor replaces dead shards and
+    fails their in-flight requests **closed** with a provenance-carrying
+    rejection frame.
 
     Decisions are bitwise-equal to every other serving mode — the shard
-    runs the same shared stage helpers — which
-    ``tests/test_shard_equivalence.py`` enforces.
+    runs the same executor — which ``tests/test_shard_equivalence.py``
+    enforces.
     """
 
     def __init__(
@@ -883,40 +691,28 @@ class ShardedGateway:
         abuse: Optional[AbuseDetector] = None,
         events: Optional[WideEventRecorder] = None,
     ):
-        self.system = system
-        self.config = config if config is not None else GatewayConfig(shards=1)
-        if self.config.enable_magliveness:
-            # Applied to the parent's system BEFORE the shards fork, so
-            # every shard inherits the extended component set and the
-            # cross-mode decision equivalence holds with the flag on.
-            self.system.enable_component("magliveness")
+        super().__init__(
+            system,
+            config if config is not None else GatewayConfig(shards=1),
+            tracer,
+            drift,
+            audit,
+            slo,
+            abuse,
+            events,
+        )
         if self.config.shards < 1:
             raise ConfigurationError(
                 "ShardedGateway needs GatewayConfig(shards >= 1); "
                 "shards=0 selects the threaded Gateway"
             )
-        self.metrics = MetricsRegistry(window=self.config.metrics_window)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Parent-side drift registry: shard-local scores stay in the
-        #: shards (scorer state must not cross the fork boundary).
-        self.drift = drift if drift is not None else DriftRegistry()
-        self.audit = audit
-        #: SLO engine evaluates over the *merged* registry at scrape
-        #: time; the per-request latency counters live in the shards
-        #: (where ``total_s`` is measured), so merging never
-        #: double-counts.
-        self.slo = slo if slo is not None else SLOEngine()
-        #: Abuse detection runs parent-side: the parent sees the whole
-        #: query stream per speaker regardless of shard placement.
-        self.abuse = abuse if abuse is not None else AbuseDetector()
-        self.events = (
-            events
-            if events is not None
-            else WideEventRecorder(
-                slow_threshold_s=self.config.slo_latency_threshold_s,
-                alert_probe=lambda: self.abuse.has_alerts,
-            )
-        )
+        # Drift monitors stay empty here: scores are recorded by the
+        # threaded gateway only.  The SLO engine evaluates over the
+        # *merged* registry; the per-request latency counters live in
+        # the shards (where ``total_s`` is measured), so merging never
+        # double-counts.  Abuse detection runs parent-side: the parent
+        # sees the whole query stream per speaker regardless of shard
+        # placement.
         self.router = ConsistentHashRouter(self.config.shards)
         # Fork the shards FIRST, while this process is still
         # single-threaded: forking after the collector/monitor threads
@@ -925,10 +721,8 @@ class ShardedGateway:
             self.config.shards,
             shard_main,
             (system, self.config),
-            self.config.shard_queue_depth,
+            SHARD_QUEUE_DEPTH,
         )
-        self._lock = threading.Lock()
-        self._closed = False  # guarded-by: _lock
         self._seq = itertools.count(1)
         self._pending: Dict[int, _PendingRequest] = {}  # guarded-by: _lock
         #: Control-message waiters: seq -> (event, reply holder).
@@ -952,33 +746,16 @@ class ShardedGateway:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, request_frame: bytes, block: bool = True) -> "Future[bytes]":
-        """Route one frame to its owning shard; resolves to the decision.
-
-        Telemetry frames are answered from the merged registries without
-        queueing behind verification work, like the threaded gateway.
-        """
-        with self._lock:
-            if self._closed:
-                raise ConfigurationError("gateway has been closed")
-        try:
-            kind = frame_kind(request_frame)
-        except ProtocolError:
-            kind = 0
-        future: "Future[bytes]" = Future()
-        if kind == KIND_TELEMETRY_REQUEST:
-            try:
-                future.set_result(self._handle_telemetry(request_frame))
-            except ProtocolError as exc:
-                self.metrics.increment("protocol_errors")
-                future.set_exception(exc)
-            return future
+    def _enqueue(
+        self, request_frame: bytes, future: "Future[bytes]", block: bool
+    ) -> None:
+        """Route one frame to its owning shard."""
         try:
             claimed, request_id = peek_request_meta(request_frame)
         except ProtocolError as exc:
             self.metrics.increment("protocol_errors")
             future.set_exception(exc)
-            return future
+            return
         shard_id = self.router.route(claimed)
         root: Optional[Span] = None
         if self.tracer.enabled:
@@ -1020,7 +797,7 @@ class ShardedGateway:
                 self.metrics.increment("rejected_queue_full")
                 raise ConfigurationError(
                     f"shard {shard_id} queue is full "
-                    f"({self.config.shard_queue_depth} requests)"
+                    f"({SHARD_QUEUE_DEPTH} requests)"
                 ) from None
             with self._lock:
                 if future.done():
@@ -1038,16 +815,6 @@ class ShardedGateway:
                 f"shard {shard_id} kept crashing during submission",
             )
         self.metrics.increment("requests_submitted")
-        return future
-
-    def handle(self, request_frame: bytes) -> bytes:
-        """Synchronous convenience wrapper (drop-in for the server)."""
-        return self.submit(request_frame).result()
-
-    def handle_many(self, request_frames: Sequence[bytes]) -> List[bytes]:
-        """Submit a burst of frames; decision frames in request order."""
-        futures = [self.submit(frame) for frame in request_frames]
-        return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
     # Result collection
@@ -1072,7 +839,7 @@ class ShardedGateway:
                     return
                 # Every live pipe EOFed at once (mass crash); wait for
                 # the monitor to fork replacements.
-                time.sleep(self.config.health_check_interval_s)
+                time.sleep(HEALTH_CHECK_INTERVAL_S)
                 continue
             for conn in _connection_wait(readers, timeout=0.2):
                 try:
@@ -1087,33 +854,24 @@ class ShardedGateway:
     def _dispatch(self, message: Tuple) -> None:
         kind = message[0]
         if kind == "decision":
-            _, seq, shard_id, frame, record_row, span_rows = message
+            _, seq, shard_id, frame, report, span_rows = message
             with self._lock:
                 entry = self._pending.pop(seq, None)
             if entry is None:
                 return  # already failed closed by the crash handler
             rtt = time.monotonic() - entry.submitted_at
-            exemplar: Optional[str] = None
-            if record_row:
-                identity_score: Optional[float] = None
-                for stage in record_row.get("stages", []) or ():
-                    if stage.get("name") == "identity":
-                        identity_score = stage.get("score")
-                        break
-                self.abuse.observe(entry.claimed, identity_score)
-                event = WideEvent.from_record_row(
-                    record_row, duration_s=rtt, shard_id=shard_id
-                )
-                if self.events.record(event) is not None:
-                    exemplar = (
-                        event.trace_id or event.request_id or None
-                    )
+            exemplar = _record_outcome(
+                self,
+                report,
+                entry.request_id,
+                entry.root.trace_id if entry.root is not None else "",
+                rtt,
+                shard_id=shard_id,
+            )
             self.metrics.observe("shard_rtt_s", rtt, exemplar=exemplar)
             self.metrics.increment("requests_collected")
             if span_rows:
                 self.tracer.ingest(span_rows)
-            if self.audit is not None and record_row:
-                self.audit.write(DecisionRecord.from_dict(record_row))
             if entry.root is not None:
                 self.tracer.end(entry.root)
             entry.future.set_result(frame)
@@ -1148,7 +906,7 @@ class ShardedGateway:
     # Health / crash handling
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
-        while not self._stop.wait(self.config.health_check_interval_s):
+        while not self._stop.wait(HEALTH_CHECK_INTERVAL_S):
             for shard_id in range(self._supervisor.shards):
                 if self._stop.is_set():
                     return
@@ -1282,39 +1040,11 @@ class ShardedGateway:
         """Whole-system registry: parent-side series + every shard's."""
         return self.metrics.merged(*self._gather_shard_snapshots())
 
-    def _handle_telemetry(self, frame: bytes) -> bytes:
-        sections, request_id = decode_telemetry_request(frame)
-        merged = self.merged_metrics()
-        telemetry: Dict[str, object] = {}
-        for section in sections:
-            if section == "summary":
-                telemetry["summary"] = self._summarize(merged)
-            elif section == "prometheus":
-                telemetry["prometheus"] = prometheus_exposition(merged)
-            elif section == "stages":
-                telemetry["stages"] = merged.stage_report()
-            elif section == "drift":
-                telemetry["drift"] = {
-                    "stages": self.drift.snapshot(),
-                    "alerts": [str(a) for a in self.drift.alerts()],
-                }
-            elif section == "slo":
-                # Evaluated over the merged registry: the latency
-                # good/bad events live in the shards' rings, and
-                # windowed_count over their sorted union equals a
-                # single registry that saw everything.
-                telemetry["slo"] = self.slo.evaluate(merged)
-            elif section == "abuse":
-                telemetry["abuse"] = self.abuse.snapshot()
-            elif section == "events":
-                telemetry["events"] = _events_section(self.events)
-        self.metrics.increment("telemetry_scrapes")
-        return encode_telemetry_response(telemetry, request_id)
+    def _registry(self) -> MetricsRegistry:
+        return self.merged_metrics()
 
-    def _summarize(self, merged: MetricsRegistry) -> Dict[str, object]:
-        summary = merged.summary()
-        summary["throughput_rps"] = merged.throughput()
-        summary["windowed_throughput_rps"] = merged.windowed_throughput()
+    def _summarize(self, registry: MetricsRegistry) -> Dict[str, object]:
+        summary = super()._summarize(registry)
         summary["shards"] = {
             "count": self.config.shards,
             "generations": self.shard_generations,
@@ -1323,13 +1053,7 @@ class ShardedGateway:
                 for i in range(self._supervisor.shards)
             ],
         }
-        if self.config.cascade:
-            summary["stages"] = merged.stage_report()
         return summary
-
-    def metrics_summary(self) -> Dict[str, object]:
-        """Merged registry summary plus shard liveness/generations."""
-        return self._summarize(self.merged_metrics())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1362,12 +1086,6 @@ class ShardedGateway:
                     entry, entry.shard_id, "gateway closed with request in flight"
                 )
 
-    def __enter__(self) -> "ShardedGateway":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 def create_gateway(
     system: DefenseSystem,
@@ -1381,24 +1099,7 @@ def create_gateway(
 ) -> Union[Gateway, "ShardedGateway"]:
     """The serving tier a config asks for: ``shards=0`` → threaded
     :class:`Gateway`, ``shards>=1`` → :class:`ShardedGateway`."""
-    if config is not None and config.shards > 0:
-        return ShardedGateway(
-            system,
-            config,
-            tracer=tracer,
-            drift=drift,
-            audit=audit,
-            slo=slo,
-            abuse=abuse,
-            events=events,
-        )
-    return Gateway(
-        system,
-        config,
-        tracer=tracer,
-        drift=drift,
-        audit=audit,
-        slo=slo,
-        abuse=abuse,
-        events=events,
+    tier: Type[Union[Gateway, ShardedGateway]] = (
+        ShardedGateway if config is not None and config.shards > 0 else Gateway
     )
+    return tier(system, config, tracer, drift, audit, slo, abuse, events)

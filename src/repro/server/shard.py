@@ -5,21 +5,21 @@ owning the speakers a :class:`~repro.server.router.ConsistentHashRouter`
 assigns to it.  The worker inherits the trained
 :class:`~repro.core.pipeline.DefenseSystem` by fork copy-on-write (the
 models are never pickled or re-trained) and builds **all of its mutable
-serving state after the fork** — metrics registry, job scheduler, drift
-registry, tracer — so no parent-held lock, RNG, or cache is ever shared
-across the process boundary.  The ``fork-safety`` static-analysis rule
-enforces this shape.
+serving state after the fork** — metrics registry, job scheduler,
+tracer — so no parent-held lock, RNG, or cache is ever shared across the
+process boundary.  The ``fork-safety`` static-analysis rule enforces
+this shape.
 
 Request frames arrive pickled-once over the shard's bounded work queue
 and are decoded here; decisions travel back — as encoded decision
-frames plus a provenance row and the shard's trace-span fragment —
-over the shard's **private result pipe**.  Each pipe has exactly one
-writer, so no cross-process lock guards it: a shard SIGKILLed mid-send
-cannot poison a shared semaphore (the way a shared result queue's
-write lock can), and the parent instead observes a clean EOF.  The
-verification paths replicate the threaded gateway stage for stage
-(shared helpers from :mod:`repro.server.backend`), so a shard's decision
-frame is byte-identical to every other serving mode's.
+frames plus the :class:`~repro.core.decision.VerificationReport` and the
+shard's trace-span fragment — over the shard's **private result pipe**.
+Each pipe has exactly one writer, so no cross-process lock guards it: a
+shard SIGKILLed mid-send cannot poison a shared semaphore (the way a
+shared result queue's write lock can), and the parent instead observes a
+clean EOF.  A shard runs the same executor as every other serving mode
+(:func:`~repro.core.pipeline.execute`), so its decision frame is
+byte-identical to theirs.
 
 Wire messages (tuples; the queues pickle them):
 
@@ -28,7 +28,7 @@ Wire messages (tuples; the queues pickle them):
              ("metrics", seq)                     → metrics snapshot
              ("ping", seq)                        → liveness probe
              ("stop",)                            drain + exit
-    result:  ("decision", seq, shard_id, frame, record_row, span_rows)
+    result:  ("decision", seq, shard_id, frame, report, span_rows)
              ("decision_error", seq, shard_id, kind, message)
              ("metrics", seq, shard_id, snapshot)
              ("pong", seq, shard_id)
@@ -39,27 +39,18 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.analysis import sanitize
-from repro.core.cascade import stage_scope
 from repro.core.config import GatewayConfig
-from repro.core.decision import ComponentResult
-from repro.core.pipeline import DefenseSystem
+from repro.core.decision import VerificationReport
+from repro.core.pipeline import DefenseSystem, execute
 from repro.errors import ProtocolError
-from repro.obs.drift import DriftRegistry
-from repro.obs.provenance import DecisionRecord
 from repro.obs.trace import NULL_TRACER, Span, Tracer
-from repro.server.backend import (
-    cascade_order,
-    cascade_split,
-    collect_detection_results,
-    machine_detection_jobs,
-)
+from repro.server.backend import decision_fields, observe_request, scheduler_fan_out
 from repro.server.metrics import MetricsRegistry
 from repro.server.protocol import decode_request_full, encode_decision
 from repro.server.scheduler import JobScheduler
-from repro.world.scene import SensorCapture
 
 __all__ = ["ShardWorker", "shard_main", "CHAOS_EXIT_CODE", "CHAOS_METADATA_KEY"]
 
@@ -72,7 +63,7 @@ CHAOS_METADATA_KEY = "__chaos_exit__"
 
 
 class ShardWorker:
-    """Per-process serving state + the verification paths of one shard.
+    """Per-process serving state + the request loop body of one shard.
 
     Everything mutable is constructed in ``__init__``, which runs in the
     child process after the fork.
@@ -82,8 +73,7 @@ class ShardWorker:
         self.shard_id = shard_id
         self.system = system
         self.config = config
-        self.metrics = MetricsRegistry(window=config.metrics_window)
-        self.drift = DriftRegistry()
+        self.metrics = MetricsRegistry()
         #: Real tracer used only for requests that arrive with a trace
         #: context; untraced requests run against the shared no-op, so
         #: they pay nothing (``self.tracer`` is swapped per request —
@@ -91,12 +81,21 @@ class ShardWorker:
         self._span_tracer = Tracer()
         self.tracer: Tracer = NULL_TRACER
         self.scheduler = JobScheduler(workers=3)
+        self._fan_out = scheduler_fan_out(
+            self.scheduler,
+            config.component_timeout_s,
+            config.component_retries,
+            self.metrics,
+        )
 
-    # -- request processing --------------------------------------------
     def process(
         self, frame: bytes, trace_ctx: Optional[Tuple[str, str]]
-    ) -> Tuple[bytes, Dict[str, object], list]:
-        """One request frame → (decision frame, provenance row, spans)."""
+    ) -> Tuple[bytes, VerificationReport, list]:
+        """One request frame → (decision frame, report, spans).
+
+        Identity is scored directly: a shard serves one request at a
+        time, so there are no peers to batch with.
+        """
         t0 = time.perf_counter()
         self.tracer = self._span_tracer if trace_ctx is not None else NULL_TRACER
         root: Optional[Span] = None
@@ -127,250 +126,40 @@ class ShardWorker:
                         "mode": "cascade" if self.config.cascade else "strict",
                     }
                 )
-            if self.config.cascade:
-                out = self._process_cascade(
-                    capture, claimed, request_id, t0, t_decoded, root
-                )
-            else:
-                out = self._process_strict(
-                    capture, claimed, request_id, t0, t_decoded, root
-                )
+            report = execute(
+                self.system,
+                capture,
+                claimed,
+                cascade=self.config.cascade,
+                fan_out=self._fan_out,
+                parent=root,
+                tracer=self.tracer,
+            )
+            t_executed = time.perf_counter()
+            payload, evidence = decision_fields(report)
+            decision_frame = encode_decision(
+                report.accepted, payload, request_id=request_id, evidence=evidence
+            )
+            # The latency-SLO counters live shard-side, where ``total_s``
+            # is measured, so the parent's merged registry sees each
+            # request's verdict exactly once.
+            observe_request(
+                self.metrics,
+                report,
+                decode_s=t_decoded - t0,
+                execute_s=t_executed - t_decoded,
+                encode_s=time.perf_counter() - t_executed,
+                slo_threshold_s=self.config.slo_latency_threshold_s,
+            )
+            if root is not None:
+                self.tracer.end(root)
         finally:
             spans = (
                 [s.to_dict() for s in self.tracer.take_trace(trace_ctx[0])]
                 if trace_ctx is not None
                 else []
             )
-        return out[0], out[1], spans
-
-    def _traced_job(
-        self,
-        name: str,
-        fn: Callable[[], ComponentResult],
-        parent: Optional[Span],
-    ) -> Callable[[], ComponentResult]:
-        """Stage span opened in the executing thread (mirrors the
-        threaded gateway), so kernel spans nest under it."""
-
-        def call() -> ComponentResult:
-            with self.tracer.span(f"stage.{name}", parent=parent) as span:
-                result = fn()
-                span.set_attrs({"passed": result.passed, "score": result.score})
-                return result
-
-        return call
-
-    def _run_detection(
-        self, jobs: Dict[str, Callable[[], ComponentResult]]
-    ) -> Dict[str, ComponentResult]:
-        job_results = self.scheduler.run_all(
-            jobs,
-            timeout_s=self.config.component_timeout_s,
-            retries=self.config.component_retries,
-        )
-        for jr in job_results.values():
-            if jr.timed_out:
-                self.metrics.increment("component_timeouts")
-            if jr.attempts > 1:
-                self.metrics.increment("component_retries", jr.attempts - 1)
-        return collect_detection_results(job_results)
-
-    def _finish(
-        self,
-        accepted: bool,
-        results: Dict[str, ComponentResult],
-        claimed: Optional[str],
-        request_id: Optional[str],
-        mode: str,
-        root: Optional[Span],
-        skipped: Tuple[str, ...] = (),
-        early_exit: Optional[str] = None,
-    ) -> Tuple[bytes, Dict[str, object]]:
-        self._record_drift(results)
-        sanitize.check_results(results)
-        payload: Dict[str, Tuple[bool, float, str]] = {
-            name: (r.passed, r.score, r.detail) for name, r in results.items()
-        }
-        evidence = {name: dict(r.evidence) for name, r in results.items()}
-        decision_frame = encode_decision(
-            accepted, payload, request_id=request_id, evidence=evidence
-        )
-        record = DecisionRecord.build(
-            accepted=accepted,
-            components=results,
-            claimed_speaker=claimed,
-            mode=mode,
-            skipped=skipped,
-            early_exit_stage=early_exit,
-            cascade_plan=self.system.cascade_plan,
-            request_id=request_id or "",
-            trace_id=root.trace_id if root is not None else "",
-        )
-        if root is not None:
-            root.set_attr("decision", "accept" if accepted else "reject")
-            if early_exit is not None:
-                root.set_attr("early_exit_stage", early_exit)
-            self.tracer.end(root)
-        return decision_frame, record.to_dict()
-
-    def _record_drift(self, results: Dict[str, ComponentResult]) -> None:
-        for name, result in results.items():
-            self.drift.record(name, result.score)
-
-    def _process_strict(
-        self,
-        capture: SensorCapture,
-        claimed: Optional[str],
-        request_id: Optional[str],
-        t0: float,
-        t_decoded: float,
-        root: Optional[Span],
-    ) -> Tuple[bytes, Dict[str, object]]:
-        jobs = machine_detection_jobs(self.system, capture, claimed)
-        if self.tracer.enabled and root is not None:
-            jobs = {
-                name: self._traced_job(name, fn, root)
-                for name, fn in jobs.items()
-            }
-        results = self._run_detection(jobs)
-        t_detection = time.perf_counter()
-        if "identity" in self.system.enabled_components and claimed is not None:
-            with self.tracer.span("stage.identity", parent=root) as ispan:
-                with stage_scope("identity"):
-                    result = self.system.identity.verify(capture, claimed)
-                ispan.set_attrs({"passed": result.passed, "score": result.score})
-            results["identity"] = result
-        t_identity = time.perf_counter()
-        accepted = all(r.passed for r in results.values())
-        out = self._finish(
-            accepted, results, claimed, request_id, "strict", root
-        )
-        t_done = time.perf_counter()
-        self.metrics.observe("decode_s", t_decoded - t0)
-        self.metrics.observe("detection_s", t_detection - t_decoded)
-        self.metrics.observe("identity_s", t_identity - t_detection)
-        self.metrics.observe("encode_s", t_done - t_identity)
-        self._observe_total(t_done - t0)
-        self.metrics.increment("requests_completed")
-        self.metrics.increment("accepted" if accepted else "rejected")
-        return out
-
-    def _process_cascade(
-        self,
-        capture: SensorCapture,
-        claimed: Optional[str],
-        request_id: Optional[str],
-        t0: float,
-        t_decoded: float,
-        root: Optional[Span],
-    ) -> Tuple[bytes, Dict[str, object]]:
-        order = cascade_order(self.system, claimed)
-        gates, tail = cascade_split(order)
-        jobs = machine_detection_jobs(self.system, capture, claimed)
-        results: Dict[str, ComponentResult] = {}
-        skipped: Tuple[str, ...] = ()
-        early_exit: Optional[str] = None
-
-        def run_stage(name: str) -> ComponentResult:
-            with self.metrics.time(f"stage_{name}_s"):
-                if name == "identity":
-                    with self.tracer.span("stage.identity", parent=root) as span:
-                        with stage_scope("identity"):
-                            result = self.system.identity.verify(
-                                capture, claimed
-                            )
-                        span.set_attrs(
-                            {"passed": result.passed, "score": result.score}
-                        )
-                    return result
-                job = jobs[name]
-                if self.tracer.enabled and root is not None:
-                    job = self._traced_job(name, job, root)
-                return self._run_detection({name: job})[name]
-
-        for i, name in enumerate(gates):
-            result = run_stage(name)
-            results[name] = result
-            if self.system.cascade_plan.confident_reject(result, self.system.config):
-                skipped = order[i + 1 :]
-                early_exit = name
-                break
-        if not skipped and tail:
-
-            def timed_job(
-                name: str, fn: Callable[[], ComponentResult]
-            ) -> Callable[[], ComponentResult]:
-                traced = (
-                    self._traced_job(name, fn, root)
-                    if self.tracer.enabled and root is not None
-                    else fn
-                )
-
-                def call() -> ComponentResult:
-                    with self.metrics.time(f"stage_{name}_s"):
-                        return traced()
-
-                return call
-
-            tail_jobs = {
-                name: timed_job(name, jobs[name])
-                for name in tail
-                if name != "identity"
-            }
-            if tail_jobs:
-                results.update(self._run_detection(tail_jobs))
-            if "identity" in tail:
-                results["identity"] = run_stage("identity")
-
-        for name in skipped:
-            self.metrics.increment(f"stage_skipped_{name}")
-            if self.tracer.enabled and root is not None:
-                self.tracer.event(
-                    f"stage.{name}",
-                    parent=root,
-                    status="skipped",
-                    attrs={
-                        "skip_reason": (
-                            f"upstream stage {early_exit!r} rejected confidently"
-                        ),
-                        "cost_saved_ms": self.system.cascade_plan.estimated_cost_ms(
-                            (name,)
-                        ),
-                    },
-                )
-        if skipped:
-            self.metrics.increment("cascade_early_exits")
-        accepted = all(r.passed for r in results.values())
-        out = self._finish(
-            accepted,
-            results,
-            claimed,
-            request_id,
-            "cascade",
-            root,
-            skipped=skipped,
-            early_exit=early_exit,
-        )
-        t_done = time.perf_counter()
-        self.metrics.observe("decode_s", t_decoded - t0)
-        self._observe_total(t_done - t0)
-        self.metrics.increment("requests_completed")
-        self.metrics.increment("accepted" if accepted else "rejected")
-        return out
-
-    def _observe_total(self, duration_s: float) -> None:
-        """Record the request's wall time plus its latency-SLO verdict.
-
-        The good/bad counters live shard-side — where ``total_s`` is
-        measured — so the parent's merged registry sees each request's
-        verdict exactly once (:mod:`repro.obs.slo` reads the merged
-        event rings)."""
-        self.metrics.observe("total_s", duration_s)
-        self.metrics.increment(
-            "slo_latency_good"
-            if duration_s < self.config.slo_latency_threshold_s
-            else "slo_latency_bad"
-        )
+        return decision_frame, report, spans
 
     def close(self) -> None:
         self.scheduler.shutdown()
@@ -432,7 +221,7 @@ def shard_main(
                 continue
             _, seq, frame, trace_ctx = message
             try:
-                decision_frame, record_row, span_rows = worker.process(
+                decision_frame, report, span_rows = worker.process(
                     frame, trace_ctx
                 )
             except ProtocolError as exc:
@@ -441,7 +230,7 @@ def shard_main(
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
                 send(("decision_error", seq, shard_id, "internal", repr(exc)))
                 continue
-            send(("decision", seq, shard_id, decision_frame, record_row, span_rows))
+            send(("decision", seq, shard_id, decision_frame, report, span_rows))
     finally:
         result_conn.close()  # type: ignore[attr-defined]
         worker.close()

@@ -27,9 +27,9 @@ The same grid also pins the cascade contract: the early-exit engine must
 reach the identical decision in every cell, may skip stages only on
 rejected attempts, and its skips must be exactly the cost-order suffix
 after the early-exit stage.  ``tests/test_shard_equivalence.py`` re-runs
-every cell through the threaded, cross-batched, and sharded serving
-modes, so a new scenario added here is automatically pinned bitwise
-across all of them.
+every cell through the sequential, threaded and sharded serving modes,
+so a new scenario added here is automatically pinned bitwise across all
+of them.
 """
 
 import numpy as np
