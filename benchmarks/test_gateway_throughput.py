@@ -1,8 +1,8 @@
 """Gateway throughput/latency baseline (serving architecture, DESIGN.md).
 
 A 12-request concurrent burst (3 claimed speakers × 4 requests) through
-the :class:`~repro.server.gateway.Gateway` — identity scoring batched
-per speaker, sound-field models served from the LRU cache — checked
+the :class:`~repro.server.gateway.Gateway` — sound-field models served
+from the LRU cache — checked
 bitwise against the sequential :class:`VerificationServer`, with
 requests/s and per-stage p50/p95 latency emitted as the baseline.
 """
@@ -42,11 +42,7 @@ def _burst(world):
     finally:
         server.close()
 
-    config = GatewayConfig(
-        request_workers=N_REQUESTS,
-        batch_window_s=0.25,
-        max_batch=N_REQUESTS // len(users),
-    )
+    config = GatewayConfig(request_workers=N_REQUESTS)
     with Gateway(world.system, config) as gateway:
         t0 = time.perf_counter()
         concurrent = gateway.handle_many(frames)
@@ -68,7 +64,6 @@ def test_gateway_throughput_baseline(benchmark, bench_world):
     )
     metrics = out["metrics"]
     hists = metrics["histograms"]
-    counters = metrics["counters"]
     cache = metrics["soundfield_cache"]
 
     seq_rps = N_REQUESTS / out["sequential_s"]
@@ -84,15 +79,13 @@ def test_gateway_throughput_baseline(benchmark, bench_world):
             f"sequential: {seq_rps:5.1f} req/s   "
             f"gateway: {gw_rps:5.1f} req/s   "
             f"(speedup {gw_rps / seq_rps:.2f}x)",
-            f"identity batches: {counters['identity_batches']:.0f} "
-            f"(mean size {hists['identity_batch_size']['mean']:.1f})   "
             f"sound-field cache: {cache['hits']} hits / {cache['misses']} misses",
             *stage_lines,
         ],
     )
 
     # The acceptance bar: ≥8 concurrent requests, decisions bit-for-bit
-    # equal to the sequential server despite batching and caching.
+    # equal to the sequential server despite concurrency and caching.
     assert len(out["concurrent"]) == N_REQUESTS >= 8
     for got, expected in zip(out["concurrent"], out["sequential"]):
         assert decode_decision(got) == decode_decision(expected)
@@ -101,9 +94,7 @@ def test_gateway_throughput_baseline(benchmark, bench_world):
         for mode in ("sequential", "concurrent")
     }
     assert checksums["concurrent"] == checksums["sequential"]
-    # Batching and the cache actually engaged during the burst.
-    assert counters["identity_batches"] < N_REQUESTS
-    assert hists["identity_batch_size"]["max"] >= 2
+    # The cache actually engaged during the burst.
     assert cache["hits"] >= 1
     # Lenient, non-flaky: concurrency must not be slower than 3x serial.
     assert out["gateway_s"] < 3.0 * out["sequential_s"]
@@ -123,10 +114,7 @@ def test_gateway_throughput_baseline(benchmark, bench_world):
             for stage in ("queue_s", "detection_s", "identity_s", "total_s")
         },
         throughput_rps={"gateway": gw_rps, "sequential": seq_rps},
-        counters={
-            "identity_batches": counters["identity_batches"],
-            "soundfield_cache_hits": cache["hits"],
-        },
+        counters={"soundfield_cache_hits": cache["hits"]},
         # Same frames, so both modes must carry the same digest; the
         # harness diff hard-fails if a future run drifts from baseline.
         decision_checksums={

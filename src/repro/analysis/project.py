@@ -127,11 +127,7 @@ TAINT_SINKS: Mapping[str, Tuple[str, ...]] = {
         "zt_normalize",
     ),
     "server/backend.py": ("VerificationServer.handle",),
-    "server/gateway.py": (
-        "Gateway._process",
-        "_IdentityBatcher._run_batch",
-        "ShardedGateway._fail_closed",
-    ),
+    "server/gateway.py": ("Gateway._process", "ShardedGateway._fail_closed"),
     "server/shard.py": ("ShardWorker.process",),
 }
 

@@ -4,7 +4,7 @@
 piece of shared state with an annotation on the attribute's defining
 assignment::
 
-    self._buckets: Dict[str, _Bucket] = {}  # guarded-by: _lock
+    self._pending: Dict[int, _PendingRequest] = {}  # guarded-by: _lock
 
 Within the modules listed in
 :data:`repro.analysis.project.GUARDED_MODULES`, every ``self.<attr>``

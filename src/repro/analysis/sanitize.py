@@ -196,7 +196,7 @@ class LockOrderGuard:
 
         guard = LockOrderGuard()
         gw._lock = guard.wrap(gw._lock, "gateway.admission", rank=10)
-        gw._batcher._lock = guard.wrap(gw._batcher._lock, "batcher", rank=20)
+        gw._scheduler._lock = guard.wrap(gw._scheduler._lock, "scheduler", rank=20)
         ... drive traffic ...
         assert guard.max_depth() <= 1   # the two never nest today
 

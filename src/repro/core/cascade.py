@@ -161,8 +161,9 @@ class CascadePlan:
 #
 # A stage hook is a callable ``hook(stage_name) -> context manager``
 # entered for the duration of one stage's verify call, in whichever
-# thread :func:`repro.core.pipeline.execute` runs the stage (an identity
-# micro-batch is scored inside its leader's scope).  Observability
+# thread :func:`repro.core.pipeline.execute` runs the stage (a scheduler
+# thread for a fanned-out detection stage, the request thread for
+# identity).  Observability
 # layers (the statistical profiler's per-stage attribution lives here)
 # register hooks at runtime; with no hooks registered ``stage_scope``
 # returns a shared null context, so the serving hot path pays one list

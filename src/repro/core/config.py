@@ -130,10 +130,9 @@ class GatewayConfig:
     """
 
     #: Request-level concurrency: how many requests are in flight at once.
+    #: The shared component scheduler gets three threads per request
+    #: worker (one per machine-detection component).
     request_workers: int = 4
-    #: Workers of the shared component scheduler; ``None`` sizes the pool
-    #: at three per request worker (one per machine-detection component).
-    component_workers: Optional[int] = None
     #: Bound of the admission queue; a full queue rejects (backpressure).
     max_queue: int = 64
     #: Per-component execution budget; ``None`` waits forever.
@@ -141,11 +140,6 @@ class GatewayConfig:
     #: Extra attempts for a component job that *crashed* (timeouts are
     #: never retried — see the scheduler docs).
     component_retries: int = 1
-    #: How long the first request of an identity batch waits for peers.
-    batch_window_s: float = 0.05
-    #: Flush an identity batch as soon as it reaches this many requests
-    #: claiming the same speaker.
-    max_batch: int = 8
     #: Serve with the cost-ordered early-exit cascade: cheap stages run
     #: first and a confident rejection skips everything downstream
     #: (including identity scoring).  Decisions match the strict path —
@@ -159,12 +153,6 @@ class GatewayConfig:
     #: kills the handling shard mid-request).  Test-only; never enable
     #: in production configs.
     chaos_hooks: bool = False
-    #: A/B flag for the MagLive-style fifth cascade component
-    #: (:mod:`repro.core.magliveness`).  Off by default so the frozen
-    #: four-stage golden decisions are untouched; when set, the gateway
-    #: (threaded *and* sharded — applied before shards fork) extends the
-    #: system's enabled components with ``"magliveness"``.
-    enable_magliveness: bool = False
     #: Latency SLO boundary: a request completing faster counts as a
     #: good event, slower as a bad one (``slo_latency_good``/``_bad``
     #: counters, consumed by :mod:`repro.obs.slo`'s burn-rate engine).
@@ -173,18 +161,12 @@ class GatewayConfig:
     def __post_init__(self) -> None:
         if self.request_workers <= 0:
             raise ConfigurationError("request_workers must be positive")
-        if self.component_workers is not None and self.component_workers <= 0:
-            raise ConfigurationError("component_workers must be positive")
         if self.max_queue <= 0:
             raise ConfigurationError("max_queue must be positive")
         if self.component_timeout_s is not None and self.component_timeout_s <= 0:
             raise ConfigurationError("component_timeout_s must be positive")
         if self.component_retries < 0:
             raise ConfigurationError("component_retries must be >= 0")
-        if self.batch_window_s < 0:
-            raise ConfigurationError("batch_window_s must be >= 0")
-        if self.max_batch <= 0:
-            raise ConfigurationError("max_batch must be positive")
         if self.shards < 0:
             raise ConfigurationError("shards must be >= 0")
         if self.slo_latency_threshold_s <= 0:

@@ -115,11 +115,12 @@ class IdentityVerifier:
     ) -> list[ComponentResult]:
         """Verify several captures claiming the same identity in one pass.
 
-        The serving gateway groups concurrent requests by claimed speaker
-        and scores them together, amortising the GMM/ISV likelihood
-        evaluation.  Scores (and therefore results) are bitwise-equal to
-        calling :meth:`verify` per capture; captures whose voice cannot be
-        extracted degrade to the same rejection :meth:`verify` produces.
+        A library kernel: one GMM/ISV likelihood evaluation over the
+        stacked captures.  No serving mode calls it; every mode scores
+        identity per request through :meth:`verify`.  Scores (and
+        therefore results) are bitwise-equal to calling :meth:`verify`
+        per capture; captures whose voice cannot be extracted degrade to
+        the same rejection :meth:`verify` produces.
         """
         voices: list[np.ndarray] = []
         scorable: list[int] = []
@@ -151,10 +152,9 @@ class IdentityVerifier:
     ) -> list[ComponentResult]:
         """Verify captures claiming (possibly) different identities at once.
 
-        The cross-speaker counterpart of :meth:`verify_batch`: the gateway
-        stacks *all* concurrent requests into one call regardless of which
-        speaker each claims, sharing a single UBM likelihood pass across
-        the whole batch.  Results stay bitwise-equal to per-capture
+        The cross-speaker counterpart of :meth:`verify_batch`, and like it
+        a library kernel: captures claiming different speakers share a
+        single UBM likelihood pass.  Results stay bitwise-equal to per-capture
         :meth:`verify`; captures whose voice cannot be extracted degrade
         to the same rejection.
         """

@@ -25,9 +25,11 @@ The detector:
 Like the other components the continuous score is "higher = more
 genuine-like": ``score = -strength``, pass boundary ``-1``.  The stage is
 **off by default** (``DefenseSystem.enabled_components`` keeps the four
-paper stages); enable it per deployment via
-``GatewayConfig(enable_magliveness=True)`` or by constructing the system
-with ``enabled_components=ALL_COMPONENTS``.
+paper stages); enable it per deployment on the system, with
+``system.enable_component("magliveness")`` or by constructing it with
+``enabled_components=ALL_COMPONENTS``, before building a gateway over
+it.  Sharded gateways fork their shards from that system, so they
+inherit the stage.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ COMPONENT_ORDER = ("distance", "soundfield", "magnetic", "identity")
 #: Every component the system can run: the four Fig. 4 stages plus the
 #: optional MagLive-style liveness stage (off by default — enabling it
 #: changes decisions, so it must be an explicit deployment choice; see
-#: ``GatewayConfig.enable_magliveness``).
+#: :meth:`DefenseSystem.enable_component`).
 ALL_COMPONENTS = COMPONENT_ORDER + ("magliveness",)
 
 
@@ -293,9 +293,9 @@ class DefenseSystem:
 
         Idempotent; the enabled tuple keeps the canonical
         :data:`ALL_COMPONENTS` ordering so strict runs stay paper-ordered.
-        Used by the serving gateways to apply the
-        ``GatewayConfig.enable_magliveness`` A/B flag before any request
-        (and, for the sharded tier, before any shard forks).
+        Call it before building a gateway over the system: every request
+        the gateway serves then sees the same component set, and a
+        sharded gateway's forked shards inherit it.
         """
         if name not in ALL_COMPONENTS:
             raise ConfigurationError(f"unknown component {name!r}")
@@ -431,8 +431,6 @@ CLAIM_STAGES = ("soundfield", "identity")
 Job = Callable[[], ComponentResult]
 #: Runs independent stage jobs and returns their results by name.
 FanOut = Callable[[Dict[str, Job]], Dict[str, ComponentResult]]
-#: Scores the identity stage: ``(capture, claimed, stage span) -> result``.
-ScoreIdentity = Callable[[SensorCapture, str, Span], ComponentResult]
 
 
 def run_inline(jobs: Dict[str, Job]) -> Dict[str, ComponentResult]:
@@ -471,17 +469,17 @@ def execute(
     *,
     cascade: bool,
     fan_out: FanOut = run_inline,
-    score_identity: Optional[ScoreIdentity] = None,
     parent: Optional[Span] = None,
     tracer: Tracer = NULL_TRACER,
 ) -> VerificationReport:
     """Verify one capture: the Fig. 4 cascade, written once.
 
-    Every serving mode calls this; only two things vary, and the caller
-    passes both in.  ``fan_out`` runs detection jobs (inline by default,
-    or on a scheduler that folds failures into −inf rejections) and
-    ``score_identity`` scores the identity stage (the stage table by
-    default, or a micro-batcher).  Exceptions from either propagate.
+    Every serving mode calls this; only the detection fan-out varies,
+    and the caller passes it in.  ``fan_out`` runs detection jobs
+    (inline by default, or on a scheduler that folds failures into −inf
+    rejections).  Identity is scored through :data:`STAGES` in the
+    calling thread, after the detection fan-out.  Exceptions from the
+    fan-out or the identity stage propagate.
 
     Each stage runs in a ``stage.<name>`` span under ``parent``, opened
     in the thread that executes it so kernel spans nest beneath, and
@@ -496,10 +494,7 @@ def execute(
         def run() -> ComponentResult:
             with tracer.span(f"stage.{name}", parent=parent) as span, stage_scope(name):
                 t0 = time.perf_counter()
-                if name == "identity" and score_identity is not None:
-                    result = score_identity(capture, _claim(claimed), span)
-                else:
-                    result = STAGES[name](system, capture, claimed)
+                result = STAGES[name](system, capture, claimed)
                 latency[name] = time.perf_counter() - t0
                 if tracer.enabled:
                     span.set_attrs(

@@ -16,8 +16,8 @@ This subpackage reproduces that architecture in-process and scales it:
 - :mod:`repro.server.backend` — the sequential request handler wrapping a
   :class:`repro.core.pipeline.DefenseSystem`;
 - :mod:`repro.server.gateway` — the concurrent verification gateway:
-  bounded admission queue, request-worker pool, same-speaker identity
-  micro-batching, and per-stage metrics; plus the shared-nothing
+  bounded admission queue, request-worker pool, shared component
+  scheduler, and per-stage metrics; plus the shared-nothing
   :class:`~repro.server.gateway.ShardedGateway` process tier
   (``GatewayConfig(shards=N)``);
 - :mod:`repro.server.router` — consistent-hash speaker → shard routing;

@@ -13,21 +13,17 @@ same cascade into a gateway that accepts many request frames at once:
   execution timeout and bounded crash retry** — a hung or crashing
   component degrades to a scored rejection without stalling the request
   or its neighbours;
-- identity-verification scoring is **batched across concurrent requests
-  claiming the same speaker** (leader/follower micro-batching), which
-  amortises the GMM/ISV likelihood evaluation while staying bitwise-equal
-  to sequential scoring;
+- identity is scored in the request worker, as in every other mode;
 - per-user sound-field models come from the
   :class:`~repro.core.pipeline.DefenseSystem` LRU cache, so a hot user's
   model is rehydrated once, not per request;
 - every stage records into a :class:`~repro.server.metrics.MetricsRegistry`
-  (latency histograms, throughput and cache/batch/timeout counters) so
-  the Fig. 15 auth-time bench can be rerun against the gateway.
+  (latency histograms, throughput and cache/timeout counters) so the
+  Fig. 15 auth-time bench can be rerun against the gateway.
 
 Decisions are bitwise-equal to the sequential
 :class:`~repro.server.backend.VerificationServer` for the same frames:
-every mode runs the same executor and the batched scorer is
-mean-per-slice over row-independent likelihoods.
+every mode runs the same executor.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 from repro.analysis import lockset
 from repro.core.config import GatewayConfig
 from repro.core.decision import ComponentResult, VerificationReport
-from repro.core.identity import IdentityVerifier
 from repro.core.pipeline import DefenseSystem, execute
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.abuse import AbuseDetector
@@ -67,7 +62,6 @@ from repro.server.protocol import (
 from repro.server.router import ConsistentHashRouter
 from repro.server.scheduler import JobScheduler, ShardSupervisor
 from repro.server.shard import shard_main
-from repro.world.scene import SensorCapture
 
 __all__ = [
     "Gateway",
@@ -130,133 +124,6 @@ def _record_outcome(
     return event.trace_id or event.request_id or None
 
 
-class _BatchEntry:
-    """One request's slot in an identity micro-batch.
-
-    ``batch_span_id``/``batch_size`` are filled by the leader after the
-    batch runs: followers belong to *other* traces, so they link to the
-    leader's batch span by id (the span-link idiom) instead of nesting
-    under it.
-    """
-
-    __slots__ = (
-        "capture",
-        "done",
-        "result",
-        "error",
-        "batch_span_id",
-        "batch_size",
-    )
-
-    def __init__(self, capture: SensorCapture):
-        self.capture = capture
-        self.done = threading.Event()
-        self.result: Optional[ComponentResult] = None
-        self.error: Optional[BaseException] = None
-        self.batch_span_id: str = ""
-        self.batch_size: int = 0
-
-
-class _Bucket:
-    """Per-speaker gathering point for one micro-batch."""
-
-    __slots__ = ("entries", "full")
-
-    def __init__(self) -> None:
-        self.entries: List[_BatchEntry] = []
-        self.full = threading.Event()
-
-
-class _IdentityBatcher:
-    """Leader/follower micro-batching of identity scoring.
-
-    The first request to arrive for a claimed speaker becomes the batch
-    leader: it waits up to ``window_s`` (or until ``max_batch`` peers
-    claiming the same speaker have gathered), then scores the whole
-    bucket through :meth:`IdentityVerifier.verify_batch` and hands each
-    follower its result.  If batch scoring fails as a whole, every entry
-    falls back to the sequential scorer so per-request semantics
-    (including raised errors) match the sequential server exactly.
-    """
-
-    def __init__(
-        self,
-        identity: IdentityVerifier,
-        window_s: float,
-        max_batch: int,
-        metrics: MetricsRegistry,
-        tracer: Tracer = NULL_TRACER,
-    ):
-        self._identity = identity
-        self._window_s = window_s
-        self._max_batch = max_batch
-        self._metrics = metrics
-        self._tracer = tracer
-        self._lock = threading.Lock()
-        self._buckets: Dict[str, _Bucket] = {}  # guarded-by: _lock
-        lockset.register(self)
-
-    def score(
-        self, capture: SensorCapture, claimed: str, span: Optional[Span] = None
-    ) -> ComponentResult:
-        entry = _BatchEntry(capture)
-        with self._lock:
-            bucket = self._buckets.get(claimed)
-            leader = bucket is None
-            if leader:
-                bucket = self._buckets[claimed] = _Bucket()
-            bucket.entries.append(entry)
-            if len(bucket.entries) >= self._max_batch:
-                bucket.full.set()
-        if leader:
-            bucket.full.wait(self._window_s)
-            with self._lock:
-                self._buckets.pop(claimed, None)
-                entries = list(bucket.entries)
-            self._run_batch(claimed, entries)
-        else:
-            entry.done.wait()
-        if span is not None and self._tracer.enabled and entry.batch_size > 1:
-            span.set_attrs(
-                {
-                    "batch_span_id": entry.batch_span_id,
-                    "batch_size": entry.batch_size,
-                    "batch_role": "leader" if leader else "follower",
-                }
-            )
-        if entry.error is not None:
-            raise entry.error
-        assert entry.result is not None
-        return entry.result
-
-    def _run_batch(self, claimed: str, entries: List[_BatchEntry]) -> None:
-        self._metrics.increment("identity_batches")
-        self._metrics.observe("identity_batch_size", len(entries))
-        if len(entries) > 1:
-            self._metrics.increment("identity_batched_requests", len(entries))
-        attrs: Optional[Dict[str, object]] = None
-        if self._tracer.enabled:
-            attrs = {"batch_size": len(entries), "claimed_speaker": claimed}
-        with self._tracer.span("identity.batch", attrs=attrs) as batch_span:
-            try:
-                results = self._identity.verify_batch(
-                    [e.capture for e in entries], claimed
-                )
-                for e, result in zip(entries, results):
-                    e.result = result
-            except BaseException:  # noqa: BLE001 - refuse collective failure
-                for e in entries:
-                    try:
-                        e.result = self._identity.verify(e.capture, claimed)
-                    except BaseException as exc:  # noqa: BLE001 - per entry
-                        e.error = exc
-            finally:
-                for e in entries:
-                    e.batch_span_id = batch_span.span_id
-                    e.batch_size = len(entries)
-                    e.done.set()
-
-
 class _ServingTier:
     """What both serving tiers share: the observability sinks, request
     submission with its telemetry-scrape bypass, the synchronous
@@ -279,11 +146,6 @@ class _ServingTier:
     ):
         self.system = system
         self.config = config
-        if config.enable_magliveness:
-            # A/B flag for the MagLive-style fifth stage: applied once,
-            # before any request worker starts or any shard forks, so
-            # every request this tier serves sees the same component set.
-            system.enable_component("magliveness")
         self.metrics = MetricsRegistry()
         #: Request tracer; the shared no-op by default, so serving pays
         #: nothing until a real tracer is attached.
@@ -449,24 +311,13 @@ class Gateway(_ServingTier):
         if self.tracer.enabled:
             # DSP kernel spans then nest under the request's stage spans.
             self.system.set_tracer(self.tracer)
-        component_workers = (
-            self.config.component_workers
-            if self.config.component_workers is not None
-            else 3 * self.config.request_workers
-        )
-        self._scheduler = JobScheduler(workers=component_workers)
+        # One thread per machine-detection component per request worker.
+        self._scheduler = JobScheduler(workers=3 * self.config.request_workers)
         self._fan_out = scheduler_fan_out(
             self._scheduler,
             self.config.component_timeout_s,
             self.config.component_retries,
             self.metrics,
-        )
-        self._batcher = _IdentityBatcher(
-            system.identity,
-            self.config.batch_window_s,
-            self.config.max_batch,
-            self.metrics,
-            tracer=self.tracer,
         )
         self._queue: (
             "queue.Queue[Optional[Tuple[bytes, Future, float, Optional[Span]]]]"
@@ -567,7 +418,6 @@ class Gateway(_ServingTier):
                 claimed,
                 cascade=self.config.cascade,
                 fan_out=self._fan_out,
-                score_identity=self._batcher.score,
                 parent=root,
                 tracer=self.tracer,
             )

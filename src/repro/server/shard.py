@@ -91,11 +91,7 @@ class ShardWorker:
     def process(
         self, frame: bytes, trace_ctx: Optional[Tuple[str, str]]
     ) -> Tuple[bytes, VerificationReport, list]:
-        """One request frame → (decision frame, report, spans).
-
-        Identity is scored directly: a shard serves one request at a
-        time, so there are no peers to batch with.
-        """
+        """One request frame → (decision frame, report, spans)."""
         t0 = time.perf_counter()
         self.tracer = self._span_tracer if trace_ctx is not None else NULL_TRACER
         root: Optional[Span] = None

@@ -235,7 +235,6 @@ class TestHungComponent:
             request_workers=4,
             component_timeout_s=5.0,
             component_retries=0,
-            batch_window_s=0.05,
         )
         frames = [
             encode_request(world_genuine_capture, hung_user, request_id="hung"),
@@ -264,12 +263,8 @@ class TestHungComponent:
         from repro.server import Gateway, GatewayConfig, decode_decision, encode_request
 
         proxy, hung_user, _release = hung_system
-        config = GatewayConfig(
-            request_workers=2,
-            component_workers=3,
-            component_timeout_s=5.0,
-            batch_window_s=0.01,
-        )
+        # One request worker: three component threads, one per detection stage.
+        config = GatewayConfig(request_workers=1, component_timeout_s=5.0)
         with Gateway(proxy, config) as gateway:
             first = decode_decision(
                 gateway.handle(

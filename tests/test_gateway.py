@@ -1,8 +1,9 @@
 """Tests for the concurrent verification gateway.
 
 The load-bearing property: for the same request frames, the gateway —
-with identity batching and the sound-field LRU cache in play — produces
-decisions *bitwise equal* to the sequential ``VerificationServer``.
+with concurrent requests and the sound-field LRU cache in play —
+produces decisions *bitwise equal* to the sequential
+``VerificationServer``.
 """
 
 import dataclasses
@@ -51,13 +52,11 @@ class TestGatewayEquivalence:
     ):
         """≥8 concurrent requests: identical decisions, scores bit-for-bit.
 
-        Identity scoring is batched (large window, flush at max_batch) and
-        the sound-field models come from the LRU cache, yet every score
-        must round-trip equal to the sequential server's.
+        Ten request workers serve the burst at once and the sound-field
+        models come from the LRU cache, yet every score must round-trip
+        equal to the sequential server's.
         """
-        config = GatewayConfig(
-            request_workers=10, batch_window_s=5.0, max_batch=8
-        )
+        config = GatewayConfig(request_workers=10)
         with Gateway(small_world.system, config) as gateway:
             decision_frames = gateway.handle_many(request_frames)
             metrics = gateway.metrics_summary()
@@ -65,20 +64,14 @@ class TestGatewayEquivalence:
         assert len(decisions) == 10
         for got, expected in zip(decisions, sequential_decisions):
             assert got == expected  # accepted, request_id, every score bit
-        # The burst really went through the concurrent machinery.
-        counters = metrics["counters"]
-        assert counters["requests_completed"] == 10
-        assert counters["identity_batches"] >= 1
-        # 10 same-window requests over 2 speakers must share batches.
-        assert counters["identity_batches"] < 10
-        assert metrics["histograms"]["identity_batch_size"]["max"] >= 2
+        assert metrics["counters"]["requests_completed"] == 10
 
     def test_no_cross_request_payload_bleed(
         self, small_world, request_frames, sequential_decisions
     ):
         """N threads × submit: each response matches its own request."""
         expected_by_id = {d["request_id"]: d for d in sequential_decisions}
-        config = GatewayConfig(request_workers=6, batch_window_s=0.05)
+        config = GatewayConfig(request_workers=6)
         results = {}
         errors = []
         with Gateway(small_world.system, config) as gateway:
@@ -116,7 +109,7 @@ class TestGatewayEquivalence:
 
 class TestCrossSpeakerBatching:
     """The cross-speaker scoring kernels stay bitwise-equal to per-claim
-    scoring (the gateway batches per speaker; these remain library API)."""
+    scoring (no serving mode calls them; they remain library API)."""
 
     def test_llr_score_multi_bitwise_equals_sequential(self, small_world):
         """llr_score_multi == llr_score per utterance, mixed claims."""
@@ -167,8 +160,7 @@ class TestCrossSpeakerBatching:
 
 
 class _PoisonedIdentity:
-    """Identity scorer that fails on captures tagged ``poison``, and
-    fails a whole batch that contains one."""
+    """Identity scorer that fails on captures tagged ``poison``."""
 
     def __init__(self, identity):
         self._identity = identity
@@ -180,11 +172,6 @@ class _PoisonedIdentity:
         if capture.metadata.get("poison"):
             raise ConfigurationError("poisoned capture")
         return self._identity.verify(capture, claimed)
-
-    def verify_batch(self, captures, claimed):
-        if any(c.metadata.get("poison") for c in captures):
-            raise ConfigurationError("poisoned batch")
-        return self._identity.verify_batch(captures, claimed)
 
 
 class _PoisonedSystem:
@@ -198,13 +185,13 @@ class _PoisonedSystem:
         return getattr(self._system, name)
 
 
-class TestIdentityBatcher:
-    def test_batch_fallback_isolates_bad_request(
+class TestIdentityIsolation:
+    def test_identity_error_fails_only_its_request(
         self, small_world, world_genuine_capture, world_user
     ):
-        """A same-speaker batch poisoned by one request falls back to the
-        sequential scorer: its peer still scores, the bad request errors."""
-        config = GatewayConfig(request_workers=4, batch_window_s=5.0, max_batch=2)
+        """Two same-speaker requests in flight, one poisoned: only the
+        poisoned future raises, and its peer scores as if it were alone."""
+        config = GatewayConfig(request_workers=2)
         good_frame = encode_request(
             world_genuine_capture, world_user, request_id="good"
         )
@@ -219,9 +206,7 @@ class TestIdentityBatcher:
             with pytest.raises(ConfigurationError):
                 bad.result(timeout=60.0)
             decision = decode_decision(good.result(timeout=60.0))
-            batch_sizes = gateway.metrics_summary()["histograms"]["identity_batch_size"]
-        # Both requests shared one batch, so the fallback really ran.
-        assert batch_sizes["max"] == 2
+        assert gateway.metrics.counter("identity_errors") == 1
         server = VerificationServer(small_world.system)
         try:
             expected = decode_decision(server.handle(good_frame))
@@ -285,7 +270,7 @@ class TestGatewayLifecycle:
     def test_malformed_frame_fails_only_its_future(
         self, small_world, request_frames, sequential_decisions
     ):
-        config = GatewayConfig(request_workers=2, batch_window_s=0.01)
+        config = GatewayConfig(request_workers=2)
         with Gateway(small_world.system, config) as gateway:
             bad = gateway.submit(b"RV garbage")
             good = gateway.submit(request_frames[0])
@@ -299,14 +284,14 @@ class TestGatewayLifecycle:
         with pytest.raises(ConfigurationError):
             GatewayConfig(request_workers=0)
         with pytest.raises(ConfigurationError):
-            GatewayConfig(max_batch=0)
+            GatewayConfig(max_queue=0)
         with pytest.raises(ConfigurationError):
             GatewayConfig(component_timeout_s=-1.0)
 
 
 class TestGatewayMetrics:
     def test_stage_histograms_populated(self, small_world, request_frames):
-        config = GatewayConfig(request_workers=4, batch_window_s=0.05)
+        config = GatewayConfig(request_workers=4)
         with Gateway(small_world.system, config) as gateway:
             gateway.handle_many(request_frames[:4])
             summary = gateway.metrics_summary()
@@ -325,9 +310,7 @@ class TestGatewayCascade:
     def test_cascade_decisions_equal_sequential(
         self, small_world, request_frames, sequential_decisions
     ):
-        config = GatewayConfig(
-            request_workers=10, batch_window_s=0.05, max_batch=4, cascade=True
-        )
+        config = GatewayConfig(request_workers=10, cascade=True)
         with Gateway(small_world.system, config) as gateway:
             frames = gateway.handle_many(request_frames)
             summary = gateway.metrics_summary()

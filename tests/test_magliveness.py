@@ -4,7 +4,7 @@ The detector correlates the magnetometer residual with the recorded
 audio envelope — a dynamic loudspeaker's voice coil tracks the playback
 envelope, a larynx radiates nothing.  These tests pin the physics-level
 separation (genuine vs coil-driven replay), the fail-closed error path,
-and the opt-in wiring through pipeline, cascade, and gateway config.
+and the opt-in wiring through pipeline, cascade, and the serving gateways.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from repro.core.magliveness import (
 from repro.core.pipeline import COMPONENT_ORDER
 from repro.errors import CaptureError, ConfigurationError
 from repro.sensors.base import SensorSeries
-from repro.server import Gateway, GatewayConfig
+from repro.server import GatewayConfig, create_gateway, decode_decision, encode_request
 from tests.test_golden_decisions import build_cell
 
 SEEDS = (10, 11, 12)
@@ -155,17 +155,29 @@ def test_enable_component_rejects_unknown(small_world):
         small_world.system.enable_component("telepathy")
 
 
-def test_gateway_flag_enables_stage(small_world):
+def test_gateway_serves_stage_enabled_on_the_system(small_world):
+    """Enabled on the system before the gateway is built, the stage runs
+    in threaded mode and in a forked shard, which inherits it."""
     system = small_world.system
     original = system.enabled_components
+    capture = _capture(small_world, "replay", SEEDS[0])
+    frame = encode_request(capture, sorted(small_world.users)[0])
     try:
-        with Gateway(system, GatewayConfig(enable_magliveness=True)):
-            assert "magliveness" in system.enabled_components
+        system.enable_component("magliveness")
+        for shards in (0, 1):
+            with create_gateway(system, GatewayConfig(shards=shards)) as gateway:
+                decision = decode_decision(gateway.handle(frame))
+            assert set(decision["components"]) == set(ALL_COMPONENTS), shards
+            assert not decision["components"]["magliveness"]["passed"], shards
     finally:
         system.enabled_components = original
 
 
-def test_gateway_default_leaves_stage_off(small_world):
+def test_building_a_gateway_never_changes_enabled_components(small_world):
     system = small_world.system
-    with Gateway(system, GatewayConfig()):
-        assert "magliveness" not in system.enabled_components
+    before = system.enabled_components
+    configs = (GatewayConfig(), GatewayConfig(cascade=True), GatewayConfig(shards=1))
+    for config in configs:
+        with create_gateway(system, config):
+            assert system.enabled_components == before
+    assert system.enabled_components == before

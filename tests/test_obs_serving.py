@@ -151,6 +151,34 @@ def test_gateway_decisions_identical_with_and_without_tracer(
     assert observed == baseline
 
 
+def test_gateway_identity_spans_match_the_pipeline(
+    small_world, world_user, world_genuine_capture
+):
+    """The threaded gateway scores identity as every other mode does: its
+    ``stage.identity`` span has the children of a traced
+    ``DefenseSystem.verify``, and no ``identity.batch`` span exists."""
+    from repro.obs import NULL_TRACER
+
+    def identity_children(spans):
+        stage = next(s for s in spans if s.name == "stage.identity")
+        return [s.name for s in spans if s.parent_id == stage.span_id]
+
+    tracer = Tracer()
+    try:
+        with Gateway(
+            small_world.system, GatewayConfig(request_workers=1), tracer=tracer
+        ) as gateway:
+            gateway.handle(encode_request(world_genuine_capture, world_user))
+        served = [s for trace in tracer.drain_completed() for s in trace]
+        small_world.system.verify(world_genuine_capture, world_user)
+        verified = [s for trace in tracer.drain_completed() for s in trace]
+    finally:
+        small_world.system.set_tracer(NULL_TRACER)
+    assert identity_children(verified), "identity kernels nest under the stage"
+    assert identity_children(served) == identity_children(verified)
+    assert not any(s.name == "identity.batch" for s in served)
+
+
 def test_decision_frames_carry_component_evidence(
     small_world, world_user, world_replay_capture
 ):

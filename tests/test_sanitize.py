@@ -182,12 +182,9 @@ class TestSanitizedServingPath:
     ):
         """Healthy traffic: sanitizers silent, lock ranks never invert."""
         guard = LockOrderGuard()
-        config = GatewayConfig(request_workers=6, batch_window_s=0.05)
+        config = GatewayConfig(request_workers=6)
         with Gateway(small_world.system, config) as gateway:
             gateway._lock = guard.wrap(gateway._lock, "gateway.admission", rank=10)
-            gateway._batcher._lock = guard.wrap(
-                gateway._batcher._lock, "gateway.batcher", rank=20
-            )
             sched = gateway._scheduler
             sched._lock = guard.wrap(sched._lock, "scheduler.pool", rank=30)
             sys_ = small_world.system
