@@ -134,7 +134,12 @@ def default_objectives(
         SLObjective(
             name="errors",
             objective=error_objective,
-            bad_counters=("protocol_errors", "identity_errors", "shard_errors"),
+            bad_counters=(
+                "protocol_errors",
+                "identity_errors",
+                "internal_errors",
+                "shard_errors",
+            ),
             total_counters=("requests_submitted",),
             description="submissions without protocol/component errors",
         ),

@@ -6,10 +6,13 @@ and uploads; the server unzips, runs the verification cascade (with a
 scheduler parallelising the machine-detection components), and returns
 the decision.
 
-This subpackage reproduces that architecture in-process and scales it:
+This subpackage reproduces that architecture in-process, uploading the
+arrays raw instead of zipped (they barely compress; see
+:mod:`repro.server.protocol`), and scales it:
 
-- :mod:`repro.server.protocol` — framed, zlib-compressed, checksummed
-  message encoding for captures and decisions;
+- :mod:`repro.server.protocol` — framed, checksummed message encoding
+  for captures (raw float32 arrays behind a JSON meta block) and
+  decisions;
 - :mod:`repro.server.scheduler` — a small APScheduler-style job pool that
   runs the verification components concurrently, with per-job execution
   timeouts and bounded crash retries;

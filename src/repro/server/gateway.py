@@ -367,6 +367,14 @@ class Gateway(_ServingTier):
                 if root is not None:
                     self._retro_span(root, "queue", waited)
                 self._process(frame, future, root)
+            except Exception as exc:  # noqa: BLE001 - surfaced via the future
+                # A failing sink (the audit log's disk, say) fails this
+                # request alone; the worker lives on to serve the next.
+                self.metrics.increment("internal_errors")
+                if not future.done():
+                    if root is not None:
+                        self.tracer.end(root, status="error")
+                    future.set_exception(exc)
             finally:
                 self._queue.task_done()
 
@@ -514,7 +522,8 @@ class ShardedGateway(_ServingTier):
     and the GIL stops being the scaling ceiling.
 
     The parent process never verifies anything: it peeks the claimed
-    speaker off each request frame (cheap JSON-only decode), routes the
+    speaker off each request frame (a meta-only peek that builds no
+    array, :func:`~repro.server.protocol.peek_request_meta`), routes the
     frame bytes verbatim onto the owning shard's bounded queue
     (pickled once, by the queue itself), and collects decision frames,
     verification reports, and trace fragments off each shard's private

@@ -3,19 +3,42 @@
 The paper's clients "send zipped data to the Tornado server via a secure
 web socket protocol".  We reproduce the data plane: a verification request
 carries the claimed identity plus every sensor stream of a capture,
-serialised to a compact binary frame — zlib-compressed and CRC-protected.
-(Transport security is out of scope for an in-process prototype; the
-frame format leaves a version byte for negotiating it.)
+serialised to a compact, CRC-protected binary frame.  (Transport security
+is out of scope for an in-process prototype; the frame format leaves a
+version byte for negotiating it.)
 
 Frame layout (all integers little-endian):
 
     magic   2 bytes  b"RV"
-    version 1 byte
+    version 1 byte   (2; any other version is refused)
     kind    1 byte   (1 = request, 2 = decision,
                       3 = telemetry request, 4 = telemetry response)
     length  4 bytes  payload length
-    crc32   4 bytes  of the compressed payload
-    payload zlib-compressed body
+    crc32   4 bytes  of the payload
+    payload          request body, or a zlib-compressed JSON body
+
+A request body is a meta block followed by the capture's arrays:
+
+    meta_len  4 bytes  length of the meta block
+    meta      UTF-8 JSON object: claimed_speaker, request_id,
+              audio_sample_rate, pilot_hz, source_kind, environment,
+              metadata, and ``shapes``: each array's shape, or null for
+              an absent audio_secondary
+    arrays    float32 samples in the host's byte order (little-endian
+              on x86-64 and ARM), C order, back to back in the order
+              audio, audio_secondary, magnetometer_t, magnetometer_v,
+              accelerometer_t, accelerometer_v, gyroscope_t,
+              gyroscope_v
+
+The arrays are not compressed, unlike the paper's zipped upload: float32
+sensor noise barely compresses (zlib made a serving-bench frame 1.4%
+smaller), and inflating it cost about 6 ms per request.  Raw arrays let
+the server slice each one straight out of the frame, and let the sharded
+router read the claimed speaker from the meta block alone.  The shapes
+must account for exactly the bytes after the meta block, so a malformed
+body fails as :class:`~repro.errors.ProtocolError` before any array is
+built.  Decision and telemetry bodies are small JSON objects and stay
+zlib-compressed.
 
 Telemetry frames let a client scrape the serving side's metrics over the
 same channel it authenticates on (the in-process analogue of hitting a
@@ -26,12 +49,12 @@ exposition as a string field).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
+import math
 import struct
 import zlib
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,12 +64,39 @@ from repro.world.scene import SensorCapture
 from repro.physics.geometry import Pose, SampledPath
 
 _MAGIC = b"RV"
-_VERSION = 1
+_VERSION = 2
 _KIND_REQUEST = 1
 _KIND_DECISION = 2
 _KIND_TELEMETRY_REQUEST = 3
 _KIND_TELEMETRY_RESPONSE = 4
 _HEADER = struct.Struct("<2sBBLL")
+_META_LEN = struct.Struct("<L")
+_FLOAT32_BYTES = 4
+
+#: A request's arrays in wire order, each with the rank its shape must have.
+_ARRAYS: Tuple[Tuple[str, int], ...] = (
+    ("audio", 1),
+    ("audio_secondary", 1),
+    ("magnetometer_t", 1),
+    ("magnetometer_v", 2),
+    ("accelerometer_t", 1),
+    ("accelerometer_v", 2),
+    ("gyroscope_t", 1),
+    ("gyroscope_v", 2),
+)
+
+#: Every field of a request's meta block, with the JSON types it accepts
+#: (``bool`` is rejected wherever ``int`` is accepted).
+_META_FIELDS: Tuple[Tuple[str, Tuple[type, ...]], ...] = (
+    ("claimed_speaker", (str, type(None))),
+    ("request_id", (str,)),
+    ("audio_sample_rate", (int,)),
+    ("pilot_hz", (int, float)),
+    ("source_kind", (str,)),
+    ("environment", (str,)),
+    ("metadata", (dict,)),
+    ("shapes", (dict,)),
+)
 
 #: Public frame-kind values (the return values of :func:`frame_kind`).
 KIND_REQUEST = _KIND_REQUEST
@@ -54,53 +104,39 @@ KIND_DECISION = _KIND_DECISION
 KIND_TELEMETRY_REQUEST = _KIND_TELEMETRY_REQUEST
 KIND_TELEMETRY_RESPONSE = _KIND_TELEMETRY_RESPONSE
 
-#: Upper bound on the (compressed) payload a peer may declare.  A capture
-#: is a few hundred kB; anything near this limit is malformed or hostile
-#: (zlib decompression bombs), and the guard rejects it before the
-#: payload is decompressed or even sliced.
+#: Upper bound on the payload a peer may declare.  A capture is a few
+#: hundred kB; anything near this limit is malformed or hostile (zlib
+#: decompression bombs), and the guard rejects it before the payload is
+#: checksummed, decompressed or sliced.
 MAX_PAYLOAD_BYTES = 32 * 1024 * 1024
 
 
-def _pack_array(x: np.ndarray) -> Dict[str, object]:
-    arr = np.asarray(x, dtype=np.float32)
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def _unpack_array(obj: Dict[str, object]) -> np.ndarray:
-    try:
-        data = base64.b64decode(obj["data"], validate=True)
-        shape = tuple(int(s) for s in obj["shape"])  # type: ignore[union-attr]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed array field: {exc}") from exc
-    # The float32 here is the *wire format*, not a decision-path cast:
-    # every serving mode decodes the identical frame bytes, so the
-    # quantization is applied once, symmetrically, before any mode
-    # diverges — the equivalence harness pins this
-    # (tests/test_shard_equivalence.py).
-    return np.frombuffer(  # repro: ignore[taint-flow]: float32 is the wire contract; all modes decode the same frame bytes, so the narrowing is mode-invariant by construction
-        data, dtype=np.float32
-    ).reshape(shape).astype(float)
-
-
-def _frame(kind: int, body: dict) -> bytes:
-    payload = zlib.compress(json.dumps(body).encode("utf-8"), level=6)
+def _seal(kind: int, payload: bytes) -> bytes:
     header = _HEADER.pack(
         _MAGIC, _VERSION, kind, len(payload), zlib.crc32(payload) & 0xFFFFFFFF
     )
     return header + payload
 
 
-def _unframe(frame: bytes, expected_kind: int) -> dict:
+def _frame(kind: int, body: dict) -> bytes:
+    return _seal(kind, zlib.compress(json.dumps(body).encode("utf-8"), level=6))
+
+
+def _header(frame: bytes) -> Tuple[int, int, int]:
+    """(kind, payload length, crc32) of a frame with valid magic and version."""
     if len(frame) < _HEADER.size:
         raise ProtocolError("frame shorter than header")
-    magic, version, kind, length, crc = _HEADER.unpack(frame[: _HEADER.size])
+    magic, version, kind, length, crc = _HEADER.unpack_from(frame)
     if magic != _MAGIC:
         raise ProtocolError("bad magic")
     if version != _VERSION:
         raise ProtocolError(f"unsupported protocol version {version}")
+    return kind, length, crc
+
+
+def _payload(frame: bytes, expected_kind: int) -> memoryview:
+    """The payload of a frame whose header, size and checksum are valid."""
+    kind, length, crc = _header(frame)
     if kind != expected_kind:
         raise ProtocolError(f"expected frame kind {expected_kind}, got {kind}")
     if length > MAX_PAYLOAD_BYTES:
@@ -108,14 +144,20 @@ def _unframe(frame: bytes, expected_kind: int) -> dict:
             f"declared payload of {length} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte limit"
         )
-    payload = frame[_HEADER.size :]
+    payload = memoryview(frame)[_HEADER.size :]
     if len(payload) != length:
         raise ProtocolError("frame length mismatch")
     if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
         raise ProtocolError("payload checksum mismatch")
+    return payload
+
+
+def _unframe(frame: bytes, expected_kind: int) -> dict:
+    """The JSON body of a decision or telemetry frame."""
+    payload = _payload(frame, expected_kind)
     try:
         return json.loads(zlib.decompress(payload).decode("utf-8"))
-    except (zlib.error, json.JSONDecodeError) as exc:
+    except (zlib.error, ValueError) as exc:
         raise ProtocolError(f"payload decode failed: {exc}") from exc
 
 
@@ -126,32 +168,88 @@ def frame_kind(frame: bytes) -> int:
     same channel.  Validates only the header prefix (length + magic +
     version); full integrity checks happen when the frame is decoded.
     """
-    if len(frame) < _HEADER.size:
-        raise ProtocolError("frame shorter than header")
-    magic, version, kind, _, _ = _HEADER.unpack(frame[: _HEADER.size])
-    if magic != _MAGIC:
-        raise ProtocolError("bad magic")
-    if version != _VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    return int(kind)
+    return _header(frame)[0]
+
+
+def _request_meta(frame: bytes) -> Tuple[Dict[str, Any], memoryview, int]:
+    """Check a request frame up to its arrays without building any.
+
+    Returns the meta object, the payload, and the payload offset of the
+    first array byte.  Element counts are Python ints, so a hostile
+    shape cannot wrap around; the shapes must account for exactly the
+    bytes that follow the meta block.
+    """
+    payload = _payload(frame, _KIND_REQUEST)
+    if len(payload) < _META_LEN.size:
+        raise ProtocolError("request payload shorter than its meta length")
+    (meta_len,) = _META_LEN.unpack_from(payload)
+    start = _META_LEN.size + meta_len
+    if start > len(payload):
+        raise ProtocolError(
+            f"meta length {meta_len} overruns the {len(payload)}-byte payload"
+        )
+    try:
+        meta = json.loads(str(payload[_META_LEN.size : start], "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"request meta is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ProtocolError("request meta is not a JSON object")
+    for name, types in _META_FIELDS:
+        if name not in meta:
+            raise ProtocolError(f"request meta lacks {name!r}")
+        value = meta[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ProtocolError(
+                f"request meta {name!r} has type {type(value).__name__}"
+            )
+    if meta["audio_sample_rate"] <= 0:
+        raise ProtocolError("audio sample rate must be positive")
+    shapes = meta["shapes"]
+    n_values = 0
+    for name, rank in _ARRAYS:
+        if name not in shapes:
+            raise ProtocolError(f"request meta lacks the shape of {name!r}")
+        shape = shapes[name]
+        if shape is None and name == "audio_secondary":
+            continue
+        if (
+            not isinstance(shape, list)
+            or len(shape) != rank
+            or not all(type(dim) is int and dim >= 0 for dim in shape)
+        ):
+            raise ProtocolError(
+                f"shape of {name!r} must be {rank} non-negative ints, "
+                f"got {shape!r}"
+            )
+        n_values += math.prod(shape)
+    for stream in ("magnetometer", "accelerometer", "gyroscope"):
+        n_times, n_rows = shapes[f"{stream}_t"][0], shapes[f"{stream}_v"][0]
+        if n_rows != n_times:
+            raise ProtocolError(
+                f"{stream} has {n_rows} rows for {n_times} timestamps"
+            )
+    if shapes["magnetometer_t"][0] == 0:
+        raise ProtocolError("empty magnetometer clock")
+    if _FLOAT32_BYTES * n_values != len(payload) - start:
+        raise ProtocolError(
+            f"shapes declare {_FLOAT32_BYTES * n_values} array bytes, "
+            f"payload carries {len(payload) - start}"
+        )
+    return meta, payload, start
 
 
 def peek_request_meta(frame: bytes) -> Tuple[Optional[str], str]:
     """(claimed_speaker, request_id) of a request frame, nothing else.
 
-    The sharded gateway routes on the claimed speaker but must not pay
-    for array unpacking in the routing thread — the frame bytes are
-    forwarded verbatim to the owning shard, which does the full decode.
-    This decompresses and parses the JSON body (full integrity checks
-    included) but touches none of the array fields, which is where the
-    real decode cost lives.
+    The sharded gateway routes on the claimed speaker in the submitting
+    thread, then forwards the frame bytes verbatim to the owning shard,
+    which does the full decode.  This runs every check
+    :func:`decode_request_full` runs (header, size guard, checksum, the
+    meta block and its shapes) but parses only the meta block and builds
+    no array, so it accepts exactly the frames the shard can decode.
     """
-    body = _unframe(frame, _KIND_REQUEST)
-    claimed = body.get("claimed_speaker")
-    return (
-        None if claimed is None else str(claimed),
-        str(body.get("request_id", "")),
-    )
+    meta, _, _ = _request_meta(frame)
+    return meta["claimed_speaker"], meta["request_id"]
 
 
 def encode_request(
@@ -165,28 +263,43 @@ def encode_request(
     server echoes it into the decision frame so concurrent clients can
     match responses to requests.
     """
-    body = {
-        "claimed_speaker": claimed_speaker,
-        "request_id": request_id,
-        "audio": _pack_array(capture.audio),
-        "audio_secondary": (
-            _pack_array(capture.audio_secondary)
-            if capture.audio_secondary is not None
-            else None
-        ),
-        "audio_sample_rate": capture.audio_sample_rate,
-        "pilot_hz": capture.pilot_hz,
-        "magnetometer_t": _pack_array(capture.magnetometer.times),
-        "magnetometer_v": _pack_array(capture.magnetometer.values),
-        "accelerometer_t": _pack_array(capture.accelerometer.times),
-        "accelerometer_v": _pack_array(capture.accelerometer.values),
-        "gyroscope_t": _pack_array(capture.gyroscope.times),
-        "gyroscope_v": _pack_array(capture.gyroscope.values),
-        "source_kind": capture.source_kind,
-        "environment": capture.environment_name,
-        "metadata": capture.metadata,
+    sources = {
+        "audio": capture.audio,
+        "audio_secondary": capture.audio_secondary,
+        "magnetometer_t": capture.magnetometer.times,
+        "magnetometer_v": capture.magnetometer.values,
+        "accelerometer_t": capture.accelerometer.times,
+        "accelerometer_v": capture.accelerometer.values,
+        "gyroscope_t": capture.gyroscope.times,
+        "gyroscope_v": capture.gyroscope.values,
     }
-    return _frame(_KIND_REQUEST, body)
+    shapes: Dict[str, Optional[List[int]]] = {}
+    arrays: List[bytes] = []
+    for name, rank in _ARRAYS:
+        source = sources[name]
+        if source is None:
+            shapes[name] = None
+            continue
+        arr = np.asarray(source, dtype=np.float32)
+        if rank == 1:
+            arr = arr.ravel()
+        shapes[name] = list(arr.shape)
+        arrays.append(arr.tobytes())
+    meta = json.dumps(
+        {
+            "claimed_speaker": claimed_speaker,
+            "request_id": request_id,
+            "audio_sample_rate": int(capture.audio_sample_rate),
+            "pilot_hz": float(capture.pilot_hz),
+            "source_kind": capture.source_kind,
+            "environment": capture.environment_name,
+            "metadata": capture.metadata,
+            "shapes": shapes,
+        }
+    ).encode("utf-8")
+    return _seal(
+        _KIND_REQUEST, b"".join([_META_LEN.pack(len(meta)), meta, *arrays])
+    )
 
 
 def decode_request(frame: bytes) -> Tuple[SensorCapture, Optional[str]]:
@@ -204,39 +317,45 @@ def decode_request_full(
     know it); a trivial two-pose placeholder path is attached because the
     capture type requires one — server-side components never read it.
     """
-    body = _unframe(frame, _KIND_REQUEST)
-    audio = _unpack_array(body["audio"]).ravel()
-    secondary_field = body.get("audio_secondary")
-    audio_secondary = (
-        _unpack_array(secondary_field).ravel()
-        if secondary_field is not None
-        else None
-    )
-    times = _unpack_array(body["magnetometer_t"]).ravel()
+    meta, payload, offset = _request_meta(frame)
+    arrays: Dict[str, np.ndarray] = {}
+    for name, _ in _ARRAYS:
+        shape = meta["shapes"][name]
+        if shape is None:
+            continue
+        count = math.prod(shape)
+        # The float32 here is the *wire format*, not a decision-path cast:
+        # every serving mode decodes the identical frame bytes, so the
+        # quantization is applied once, symmetrically, before any mode
+        # diverges — the equivalence harness pins this
+        # (tests/test_shard_equivalence.py).
+        arrays[name] = np.frombuffer(  # repro: ignore[taint-flow]: float32 is the wire contract; all modes decode the same frame bytes, so the narrowing is mode-invariant by construction
+            payload, dtype=np.float32, count=count, offset=offset
+        ).reshape(shape).astype(float)
+        offset += _FLOAT32_BYTES * count
+    times = arrays["magnetometer_t"]
+    end = float(times[-1])
+    # Not max(end, 1e-3): that keeps a NaN, which the path would refuse.
     placeholder = SampledPath(
-        [0.0, max(float(times[-1]), 1e-3)],
+        [0.0, end if end > 1e-3 else 1e-3],
         [Pose(np.zeros(3), np.eye(3)), Pose(np.zeros(3), np.eye(3))],
     )
     capture = SensorCapture(
-        audio=audio,
-        audio_sample_rate=int(body["audio_sample_rate"]),
-        pilot_hz=float(body["pilot_hz"]),
-        magnetometer=SensorSeries(times, _unpack_array(body["magnetometer_v"])),
+        audio=arrays["audio"],
+        audio_sample_rate=meta["audio_sample_rate"],
+        pilot_hz=float(meta["pilot_hz"]),
+        magnetometer=SensorSeries(times, arrays["magnetometer_v"]),
         accelerometer=SensorSeries(
-            _unpack_array(body["accelerometer_t"]).ravel(),
-            _unpack_array(body["accelerometer_v"]),
+            arrays["accelerometer_t"], arrays["accelerometer_v"]
         ),
-        gyroscope=SensorSeries(
-            _unpack_array(body["gyroscope_t"]).ravel(),
-            _unpack_array(body["gyroscope_v"]),
-        ),
+        gyroscope=SensorSeries(arrays["gyroscope_t"], arrays["gyroscope_v"]),
         path=placeholder,
-        source_kind=str(body.get("source_kind", "unknown")),
-        environment_name=str(body.get("environment", "unknown")),
-        metadata=dict(body.get("metadata", {})),
-        audio_secondary=audio_secondary,
+        source_kind=meta["source_kind"],
+        environment_name=meta["environment"],
+        metadata=meta["metadata"],
+        audio_secondary=arrays.get("audio_secondary"),
     )
-    return capture, body.get("claimed_speaker"), str(body.get("request_id", ""))
+    return capture, meta["claimed_speaker"], meta["request_id"]
 
 
 def encode_decision(

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.__main__ import EXPERIMENTS, main
-from repro.server.protocol import _pack_array, _unpack_array
+from repro.errors import ProtocolError
+from repro.physics.geometry import Pose, SampledPath
+from repro.sensors.base import SensorSeries
+from repro.server.protocol import (
+    KIND_REQUEST,
+    _HEADER,
+    _seal,
+    decode_request_full,
+    encode_request,
+)
+from repro.world.scene import SensorCapture
 
 
 class TestCLI:
@@ -25,6 +35,30 @@ class TestCLI:
             main(["fig99"])
 
 
+def _tiny_capture(audio, magnetometer_values):
+    """A minimal capture carrying the given audio and magnetometer rows."""
+    times = np.arange(magnetometer_values.shape[0], dtype=float)
+    still = Pose(np.zeros(3), np.eye(3))
+    return SensorCapture(
+        audio=audio,
+        audio_sample_rate=16_000,
+        pilot_hz=20_000.0,
+        magnetometer=SensorSeries(times, magnetometer_values),
+        accelerometer=SensorSeries(times, np.zeros((times.size, 3))),
+        gyroscope=SensorSeries(times, np.zeros((times.size, 3))),
+        path=SampledPath([0.0, 1.0], [still, still]),
+        source_kind="human",
+        environment_name="quiet",
+    )
+
+
+def _codec_roundtrip(audio, magnetometer_values):
+    """``(audio, magnetometer values)`` after a request frame round trip."""
+    frame = encode_request(_tiny_capture(audio, magnetometer_values), "alice")
+    decoded, _, _ = decode_request_full(frame)
+    return decoded.audio, decoded.magnetometer.values
+
+
 class TestProtocolArrays:
     @settings(max_examples=25)
     @given(
@@ -36,19 +70,23 @@ class TestProtocolArrays:
     )
     def test_pack_unpack_roundtrip(self, values):
         arr = np.array(values, dtype=np.float32)
-        out = _unpack_array(_pack_array(arr))
-        assert np.allclose(out, arr, rtol=1e-6, atol=1e-6)
+        out, _ = _codec_roundtrip(arr, np.zeros((2, 3)))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, arr)
 
     def test_2d_shape_preserved(self):
         arr = np.arange(12.0).reshape(3, 4)
-        out = _unpack_array(_pack_array(arr))
+        _, out = _codec_roundtrip(np.zeros(8), arr)
         assert out.shape == (3, 4)
+        assert np.array_equal(out, arr)
 
     def test_malformed_field_rejected(self):
-        from repro.errors import ProtocolError
-
-        with pytest.raises(ProtocolError):
-            _unpack_array({"shape": [2], "data": "not base64!!"})
+        """Array bytes that fall short of the declared shapes are refused
+        even when the header's length and checksum match them."""
+        frame = encode_request(_tiny_capture(np.zeros(8), np.zeros((4, 3))), "a")
+        short = _seal(KIND_REQUEST, frame[_HEADER.size : -4])
+        with pytest.raises(ProtocolError, match="array bytes"):
+            decode_request_full(short)
 
 
 class TestSoundFieldCalibration:

@@ -7,7 +7,10 @@ produces decisions *bitwise equal* to the sequential
 """
 
 import dataclasses
+import json
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -15,13 +18,16 @@ import pytest
 from repro.core.pipeline import DefenseSystem
 from repro.core.soundfield import SoundFieldVerifier
 from repro.errors import ConfigurationError, ProtocolError
+from repro.obs.exporters import AuditJsonlExporter
 from repro.server import (
+    KIND_REQUEST,
     Gateway,
     GatewayConfig,
     VerificationServer,
     decode_decision,
     encode_request,
 )
+from repro.server.protocol import _HEADER, _MAGIC, _VERSION
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +285,62 @@ class TestGatewayLifecycle:
             decision = decode_decision(good.result(timeout=60.0))
         assert decision == sequential_decisions[0]
         assert gateway.metrics.counter("protocol_errors") == 1
+
+    def test_malformed_bodies_never_kill_a_worker(
+        self, small_world, request_frames, sequential_decisions
+    ):
+        """CRC-valid request frames with malformed bodies each fail their
+        own future with ``ProtocolError``.  There are more of them than
+        workers, so a body that escaped the decoder as any other exception
+        would kill every worker and leave the valid request hanging."""
+        bodies = [
+            # zlib-compressed JSON with no arrays, the pre-binary encoding
+            zlib.compress(json.dumps({"claimed_speaker": "x"}).encode()),
+            zlib.compress(json.dumps([]).encode()),
+            # a meta block that is a JSON list
+            struct.pack("<L", 2) + b"[]",
+        ]
+        frames = [
+            _HEADER.pack(
+                _MAGIC, _VERSION, KIND_REQUEST, len(body), zlib.crc32(body)
+            )
+            + body
+            for body in bodies
+        ]
+        config = GatewayConfig(request_workers=len(frames) - 1)
+        with Gateway(small_world.system, config) as gateway:
+            bad = [gateway.submit(frame) for frame in frames]
+            good = gateway.submit(request_frames[0])
+            for future in bad:
+                with pytest.raises(ProtocolError):
+                    future.result(timeout=10.0)
+            decision = decode_decision(good.result(timeout=60.0))
+        assert decision == sequential_decisions[0]
+        assert gateway.metrics.counter("protocol_errors") == len(frames)
+
+    def test_failing_sink_fails_only_its_request(
+        self, small_world, request_frames, sequential_decisions, tmp_path
+    ):
+        """An audit log that cannot write fails that request's future; the
+        single worker survives to serve the next request."""
+
+        class _FullDisk(AuditJsonlExporter):
+            def write(self, record):
+                if record.request_id == "req-1":
+                    raise OSError("no space left on device")
+                super().write(record)
+
+        config = GatewayConfig(request_workers=1)
+        with _FullDisk(tmp_path / "audit.jsonl") as audit, Gateway(
+            small_world.system, config, audit=audit
+        ) as gateway:
+            failed = gateway.submit(request_frames[1])
+            served = gateway.submit(request_frames[0])
+            with pytest.raises(OSError):
+                failed.result(timeout=60.0)
+            decision = decode_decision(served.result(timeout=60.0))
+        assert decision == sequential_decisions[0]
+        assert gateway.metrics.counter("internal_errors") == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

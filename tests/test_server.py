@@ -66,16 +66,24 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             decode_request(bytes(frame))
 
-    def test_compression_beats_plain_base64(self, genuine_capture_5cm):
-        """zlib must claw back most of base64's 4/3 expansion.
-
-        Mic noise makes float32 audio nearly incompressible, so the frame
-        cannot go below the raw byte count — but it must stay well below
-        the uncompressed JSON/base64 encoding it wraps.
-        """
-        frame = encode_request(genuine_capture_5cm, "a")
-        raw_bytes = genuine_capture_5cm.audio.size * 4
-        assert len(frame) < 1.35 * raw_bytes
+    def test_frame_is_raw_float32_plus_meta(self, genuine_capture_5cm):
+        """Arrays ship as raw float32: a request frame costs its arrays'
+        float32 bytes plus at most 2 kB of header and meta block."""
+        capture = genuine_capture_5cm
+        arrays = [
+            capture.audio,
+            capture.magnetometer.times,
+            capture.magnetometer.values,
+            capture.accelerometer.times,
+            capture.accelerometer.values,
+            capture.gyroscope.times,
+            capture.gyroscope.values,
+        ]
+        if capture.audio_secondary is not None:
+            arrays.append(capture.audio_secondary)
+        raw_bytes = sum(4 * np.asarray(a).size for a in arrays)
+        frame = encode_request(capture, "a")
+        assert raw_bytes < len(frame) <= raw_bytes + 2048
 
 
 class TestScheduler:
