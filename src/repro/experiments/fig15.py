@@ -54,10 +54,12 @@ def _run_scheme(
     client = MobileClient(server)
     user_id = sorted(world.users)[0]
     reports: List[TimingReport] = []
-    for _ in range(trials):
-        capture = genuine_capture(world, user_id, 0.05)
-        reports.append(client.authenticate(capture, user_id))
-    server.close()
+    try:
+        for _ in range(trials):
+            capture = genuine_capture(world, user_id, 0.05)
+            reports.append(client.authenticate(capture, user_id))
+    finally:
+        server.close()
     summary = summarize_trials(reports)
     summary["mean_server_s"] = float(np.mean([r.server_s for r in reports]))
     return summary

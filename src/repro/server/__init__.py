@@ -23,6 +23,9 @@ arrays raw instead of zipped (they barely compress; see
   scheduler, and per-stage metrics; plus the shared-nothing
   :class:`~repro.server.gateway.ShardedGateway` process tier
   (``GatewayConfig(shards=N)``);
+- :mod:`repro.server.blas` — the process-wide hold that runs OpenBLAS at
+  one thread while a serving object is open (its pool would otherwise
+  spin on the cores the stage threads need);
 - :mod:`repro.server.router` — consistent-hash speaker → shard routing;
 - :mod:`repro.server.shard` — the forked shard worker's serving loop;
 - :mod:`repro.server.metrics` — latency histograms and throughput

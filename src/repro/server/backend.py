@@ -23,6 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.decision import ComponentResult, VerificationReport
 from repro.core.pipeline import DefenseSystem, FanOut, Job, execute
+from repro.server.blas import BlasThreadHold
 from repro.server.metrics import MetricsRegistry, RequestStats
 from repro.server.protocol import decode_request_full, encode_decision
 from repro.server.scheduler import JobScheduler
@@ -128,7 +129,9 @@ class VerificationServer:
     Handles exactly one request at a time, in strict mode, with identity
     scored directly; the concurrent serving path is
     :class:`~repro.server.gateway.Gateway`, which produces bitwise-equal
-    decisions for the same frames.
+    decisions for the same frames.  Like the gateways, it holds BLAS at
+    one thread from construction to :meth:`close`
+    (:mod:`repro.server.blas`).
     """
 
     system: DefenseSystem
@@ -138,6 +141,9 @@ class VerificationServer:
     component_timeout_s: Optional[float] = None
     component_retries: int = 0
     last_stats: Optional[RequestStats] = None
+    _blas: BlasThreadHold = field(
+        default_factory=BlasThreadHold, init=False, repr=False, compare=False
+    )
 
     def handle(self, request_frame: bytes) -> bytes:
         """Process one verification request frame; returns a decision frame."""
@@ -169,3 +175,4 @@ class VerificationServer:
 
     def close(self) -> None:
         self.scheduler.shutdown()
+        self._blas.release()

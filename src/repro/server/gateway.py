@@ -49,6 +49,7 @@ from repro.obs.provenance import DecisionRecord
 from repro.obs.slo import SLOEngine
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.server.backend import decision_fields, observe_request, scheduler_fan_out
+from repro.server.blas import BlasThreadHold
 from repro.server.metrics import MetricsRegistry
 from repro.server.protocol import (
     KIND_TELEMETRY_REQUEST,
@@ -99,11 +100,14 @@ def _record_outcome(
     duration_s: float,
     shard_id: Optional[int] = None,
 ) -> Optional[str]:
-    """Audit row, abuse observation and wide event of one served report.
+    """Drift samples, audit row, abuse observation and wide event of one
+    served report.
 
     Returns the exemplar id for the request's latency observation when
     tail sampling kept the event, else ``None``.
     """
+    for name, result in report.components.items():
+        gateway.drift.record(name, result.score)  # non-finite are filtered
     record = DecisionRecord.from_report(
         report,
         cascade_plan=gateway.system.cascade_plan,
@@ -129,8 +133,11 @@ class _ServingTier:
     submission with its telemetry-scrape bypass, the synchronous
     wrappers, and the telemetry answer.
 
-    Subclasses hand request frames to their workers in :meth:`_enqueue`
-    and name the registry a scrape reads in :meth:`_registry`.
+    Subclasses hand request frames to their workers in :meth:`_enqueue`,
+    name the registry a scrape reads in :meth:`_registry`, and stop their
+    workers in :meth:`_shutdown`.  From construction to :meth:`close` a
+    tier holds BLAS at one thread (:mod:`repro.server.blas`): its stage
+    threads already own the process's cores.
     """
 
     def __init__(
@@ -172,6 +179,7 @@ class _ServingTier:
         )
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
+        self._blas = BlasThreadHold()
 
     def submit(self, request_frame: bytes, block: bool = True) -> "Future[bytes]":
         """Hand one request frame to the workers; resolves to the
@@ -232,6 +240,7 @@ class _ServingTier:
         summary["windowed_throughput_rps"] = registry.windowed_throughput()
         if self.config.cascade:
             summary["stages"] = registry.stage_report()
+        summary["drift"] = _drift_section(self.drift)
         return summary
 
     def metrics_summary(self) -> Dict[str, object]:
@@ -264,6 +273,17 @@ class _ServingTier:
         return encode_telemetry_response(telemetry, request_id)
 
     def close(self) -> None:
+        """Stop serving (idempotent), then release the BLAS hold."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        try:
+            self._shutdown()
+        finally:
+            self._blas.release()
+
+    def _shutdown(self) -> None:
         raise NotImplementedError
 
     def __enter__(self) -> "_ServingTier":
@@ -442,8 +462,6 @@ class Gateway(_ServingTier):
         )
         t_done = time.perf_counter()
 
-        for name, result in report.components.items():
-            self.drift.record(name, result.score)  # non-finite are filtered
         exemplar = _record_outcome(
             self,
             report,
@@ -475,15 +493,10 @@ class Gateway(_ServingTier):
             "misses": cache.misses,
             "evictions": cache.evictions,
         }
-        summary["drift"] = _drift_section(self.drift)
         return summary
 
-    def close(self) -> None:
+    def _shutdown(self) -> None:
         """Drain queued requests, stop the workers, free the scheduler."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
         for _ in self._threads:
             self._queue.put(None)
         for t in self._threads:
@@ -550,38 +563,38 @@ class ShardedGateway(_ServingTier):
         abuse: Optional[AbuseDetector] = None,
         events: Optional[WideEventRecorder] = None,
     ):
-        super().__init__(
-            system,
-            config if config is not None else GatewayConfig(shards=1),
-            tracer,
-            drift,
-            audit,
-            slo,
-            abuse,
-            events,
-        )
-        if self.config.shards < 1:
+        config = config if config is not None else GatewayConfig(shards=1)
+        if config.shards < 1:
             raise ConfigurationError(
                 "ShardedGateway needs GatewayConfig(shards >= 1); "
                 "shards=0 selects the threaded Gateway"
             )
-        # Drift monitors stay empty here: scores are recorded by the
-        # threaded gateway only.  The SLO engine evaluates over the
-        # *merged* registry; the per-request latency counters live in
-        # the shards (where ``total_s`` is measured), so merging never
-        # double-counts.  Abuse detection runs parent-side: the parent
-        # sees the whole query stream per speaker regardless of shard
-        # placement.
+        super().__init__(
+            system, config, tracer, drift, audit, slo, abuse, events
+        )
+        # Drift monitors, like abuse detection, run parent-side on the
+        # reports the shards send back: the parent sees every speaker's
+        # whole stream regardless of shard placement.  The SLO engine
+        # evaluates over the *merged* registry; the per-request latency
+        # counters live in the shards (where ``total_s`` is measured),
+        # so merging never double-counts.
         self.router = ConsistentHashRouter(self.config.shards)
         # Fork the shards FIRST, while this process is still
         # single-threaded: forking after the collector/monitor threads
         # exist risks copying a lock mid-acquisition into the child.
-        self._supervisor = ShardSupervisor(
-            self.config.shards,
-            shard_main,
-            (system, self.config),
-            SHARD_QUEUE_DEPTH,
-        )
+        # The BLAS hold is already taken, so every shard (and every
+        # replacement the monitor forks) starts with one BLAS thread and
+        # never touches the hold itself.
+        try:
+            self._supervisor = ShardSupervisor(
+                self.config.shards,
+                shard_main,
+                (system, self.config),
+                SHARD_QUEUE_DEPTH,
+            )
+        except BaseException:
+            self._blas.release()
+            raise
         self._seq = itertools.count(1)
         self._pending: Dict[int, _PendingRequest] = {}  # guarded-by: _lock
         #: Control-message waiters: seq -> (event, reply holder).
@@ -917,12 +930,8 @@ class ShardedGateway(_ServingTier):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def close(self) -> None:
+    def _shutdown(self) -> None:
         """Drain every shard queue, stop the workers and the threads."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
         # Stop the monitor first: shard exits during shutdown must not
         # read as crashes (which would fork pointless replacements).
         self._stop.set()

@@ -350,3 +350,23 @@ def test_sharded_scrape_carries_the_operational_sections(
         == counters["requests_completed"]
         == 3
     )
+
+
+def test_sharded_gateway_records_every_stage_score_for_drift(
+    small_world, world_user, world_genuine_capture
+):
+    """The parent feeds its drift monitors from the shards' reports, as
+    the threaded gateway feeds its own: each stage's finite scores."""
+    from repro.server import ShardedGateway, decode_request_full
+
+    frame = encode_request(world_genuine_capture, world_user)
+    expected = small_world.system.verify(decode_request_full(frame)[0], world_user)
+    with ShardedGateway(small_world.system, GatewayConfig(shards=1)) as gateway:
+        gateway.handle_many([frame, frame])
+        stages = gateway.drift.snapshot()
+        summary = gateway.metrics_summary()
+    assert set(stages) == set(expected.components)
+    for name, result in expected.components.items():
+        assert stages[name]["count"] == 2.0, name
+        assert stages[name]["rolling_mean"] == result.score, name
+    assert summary["drift"]["stages"].keys() == stages.keys()
