@@ -45,14 +45,6 @@ class ModuleContext:
             yield cur
             cur = self.parent(cur)
 
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> "Optional[ast.FunctionDef | ast.AsyncFunctionDef]":
-        for anc in self.ancestors(node):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return anc
-        return None
-
     def is_lazy(self, node: ast.AST) -> bool:
         """True for code that only runs on call (or never, for typing).
 

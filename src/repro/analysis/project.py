@@ -200,11 +200,6 @@ def is_telemetry_module(relpath: str) -> bool:
     return rel in TELEMETRY_MODULES or package_of(rel) in TELEMETRY_MODULE_PACKAGES
 
 
-def sink_functions(relpath: str) -> Tuple[str, ...]:
-    """Sink qualpaths declared for one module (empty for most)."""
-    return TAINT_SINKS.get(relpath.replace("\\", "/"), ())
-
-
 @dataclass(frozen=True)
 class PaperConstant:
     """One guarded numeric value and the names that betray its meaning."""

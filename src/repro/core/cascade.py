@@ -29,18 +29,8 @@ one request executor, :func:`repro.core.pipeline.execute`:
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    ContextManager,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Tuple,
-)
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.core.config import DefenseConfig
 from repro.core.decision import ComponentResult
@@ -153,65 +143,3 @@ class CascadePlan:
     def estimated_cost_ms(self, stages: Iterable[str]) -> float:
         """Summed cost estimate of ``stages`` (for logging/benches)."""
         return float(sum(self.policy(n).cost_ms for n in stages))
-
-
-# ----------------------------------------------------------------------
-# Stage execution hooks
-# ----------------------------------------------------------------------
-#
-# A stage hook is a callable ``hook(stage_name) -> context manager``
-# entered for the duration of one stage's verify call, in whichever
-# thread :func:`repro.core.pipeline.execute` runs the stage (a scheduler
-# thread for a fanned-out detection stage, the request thread for
-# identity).  Observability
-# layers (the statistical profiler's per-stage attribution lives here)
-# register hooks at runtime; with no hooks registered ``stage_scope``
-# returns a shared null context, so the serving hot path pays one list
-# read and no allocation.
-
-StageHook = Callable[[str], "ContextManager[None]"]
-
-_STAGE_HOOKS: List[StageHook] = []
-_NULL_SCOPE = contextlib.nullcontext()
-
-
-def register_stage_hook(hook: StageHook) -> None:
-    """Install ``hook`` for every subsequently executed cascade stage.
-
-    Registration order is entry order.  Hooks registered *before* a
-    :class:`~repro.server.gateway.ShardedGateway` forks are inherited by
-    its shard workers; hooks registered after only see the parent.
-    """
-    if hook in _STAGE_HOOKS:
-        return
-    _STAGE_HOOKS.append(hook)
-
-
-def unregister_stage_hook(hook: StageHook) -> None:
-    """Remove a previously registered hook (missing hooks are ignored)."""
-    try:
-        _STAGE_HOOKS.remove(hook)
-    except ValueError:
-        pass
-
-
-def stage_scope(name: str) -> "ContextManager[None]":
-    """Context manager wrapping one execution of stage ``name``.
-
-    Composes every registered hook (entered in registration order);
-    with none registered this is a shared no-op context manager.
-    """
-    hooks = _STAGE_HOOKS
-    if not hooks:
-        return _NULL_SCOPE
-    if len(hooks) == 1:
-        return hooks[0](name)
-    return _composite_scope(name, list(hooks))
-
-
-@contextlib.contextmanager
-def _composite_scope(name: str, hooks: List[StageHook]) -> Iterator[None]:
-    with contextlib.ExitStack() as stack:
-        for hook in hooks:
-            stack.enter_context(hook(name))
-        yield

@@ -82,11 +82,6 @@ class VerificationReport:
     def accepted(self) -> bool:
         return self.decision is Decision.ACCEPT
 
-    @property
-    def total_latency_s(self) -> float:
-        """Summed component wall time (0.0 when stages were not timed)."""
-        return float(sum(self.stage_latency_s.values()))
-
     def component(self, name: str) -> ComponentResult:
         return self.components[name]
 

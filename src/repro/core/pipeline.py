@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.analysis import lockset, sanitize
 from repro.asv.verifier import VerifierBackend
-from repro.core.cascade import CascadePlan, stage_scope
+from repro.core.cascade import CascadePlan
 from repro.core.config import DefenseConfig
 from repro.core.decision import (
     ComponentResult,
@@ -482,17 +482,17 @@ def execute(
     fan-out or the identity stage propagate.
 
     Each stage runs in a ``stage.<name>`` span under ``parent``, opened
-    in the thread that executes it so kernel spans nest beneath, and
-    inside :func:`~repro.core.cascade.stage_scope`.  Skipped stages are
-    recorded as ``skipped`` span events.  The report carries the stage
-    results in schedule order, the skip set and per-stage latencies.
+    in the thread that executes it so kernel spans nest beneath.
+    Skipped stages are recorded as ``skipped`` span events.  The report
+    carries the stage results in schedule order, the skip set and
+    per-stage latencies.
     """
     gates, tail = schedule(system, claimed, cascade)
     latency: Dict[str, float] = {}
 
     def stage(name: str) -> Job:
         def run() -> ComponentResult:
-            with tracer.span(f"stage.{name}", parent=parent) as span, stage_scope(name):
+            with tracer.span(f"stage.{name}", parent=parent) as span:
                 t0 = time.perf_counter()
                 result = STAGES[name](system, capture, claimed)
                 latency[name] = time.perf_counter() - t0

@@ -16,23 +16,6 @@ except ImportError:  # pragma: no cover - depends on scipy layout
     _sosfilt_raw = None
 
 
-def _sosfilt_pass(sos_w: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """One causal cascade pass, bitwise-identical to ``sp_signal.sosfilt``.
-
-    Replicates the public wrapper's exact steps for 1-D float64 input —
-    C-ordered copy of the signal, contiguous per-signal state — and hands
-    them straight to the Cython kernel, skipping the per-call shape
-    validation and axis plumbing the serving path pays thousands of times.
-    """
-    if _sosfilt_raw is None:  # pragma: no cover - depends on scipy layout
-        y, _ = sp_signal.sosfilt(sos_w, x, zi=zi)
-        return y
-    y = np.array(x.reshape(1, -1), dtype=np.float64, order="C")
-    z = np.ascontiguousarray(zi[None, :, :], dtype=np.float64)
-    _sosfilt_raw(sos_w, y, z)
-    return y[0]
-
-
 def _sosfilt_inplace(sos_w: np.ndarray, buf: np.ndarray, zi: np.ndarray) -> None:
     """Run the cascade kernel in place over ``buf`` (shape ``(1, n)``)."""
     if _sosfilt_raw is None:  # pragma: no cover - depends on scipy layout

@@ -42,15 +42,6 @@ class ComponentTimeoutError(ReproError):
     """
 
 
-class AnalysisError(ReproError):
-    """The static-analysis driver could not complete a run.
-
-    Covers unreadable roots and internal rule failures — *not* lint
-    findings, which are data (:class:`repro.analysis.findings.Finding`),
-    not exceptions.
-    """
-
-
 class SanitizerError(ReproError):
     """A runtime sanitizer caught a non-finite value in a guarded path.
 

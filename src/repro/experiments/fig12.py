@@ -107,16 +107,3 @@ def run_distance_experiment(
         )
     world.system.enabled_components = original_components
     return rows
-
-
-def rows_to_dicts(rows: Sequence[DistanceRow]) -> List[dict]:
-    """For the shared table formatter."""
-    return [
-        {
-            "distance_cm": r.distance_cm,
-            "far_pct": r.far_pct,
-            "frr_pct": r.frr_pct,
-            "eer_pct": r.eer_pct,
-        }
-        for r in rows
-    ]

@@ -17,8 +17,6 @@ names:
 
 The ISSUE-9 operational tier adds four more:
 
-- :mod:`repro.obs.profiler` — statistical thread-stack sampling with
-  per-cascade-stage attribution and collapsed-stack output;
 - :mod:`repro.obs.slo` — declarative objectives with multi-window
   burn-rate alerting over the metrics registry;
 - :mod:`repro.obs.events` — tail-sampled per-request wide events;
@@ -30,7 +28,6 @@ The ISSUE-9 operational tier adds four more:
 
 from repro.obs.abuse import AbuseAlert, AbuseDetector
 from repro.obs.events import WideEvent, WideEventRecorder
-from repro.obs.profiler import StackSampler
 from repro.obs.slo import (
     DEFAULT_WINDOWS,
     BurnWindow,
@@ -82,7 +79,6 @@ __all__ = [
     "AbuseDetector",
     "WideEvent",
     "WideEventRecorder",
-    "StackSampler",
     "BurnWindow",
     "SLOEngine",
     "SLObjective",

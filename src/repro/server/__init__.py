@@ -60,7 +60,7 @@ from repro.server.protocol import (
     decisions_checksum,
 )
 from repro.server.scheduler import JobResult, JobScheduler, ShardSupervisor
-from repro.server.metrics import Histogram, MetricsRegistry, RequestStats
+from repro.server.metrics import Histogram, MetricsRegistry
 from repro.server.backend import VerificationServer
 from repro.server.router import ConsistentHashRouter
 from repro.server.gateway import (
@@ -99,7 +99,6 @@ __all__ = [
     "ShardSupervisor",
     "Histogram",
     "MetricsRegistry",
-    "RequestStats",
     "VerificationServer",
     "ConsistentHashRouter",
     "Gateway",

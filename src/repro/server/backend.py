@@ -17,19 +17,17 @@ The module-level helpers are shared with the concurrent
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.decision import ComponentResult, VerificationReport
 from repro.core.pipeline import DefenseSystem, FanOut, Job, execute
 from repro.server.blas import BlasThreadHold
-from repro.server.metrics import MetricsRegistry, RequestStats
+from repro.server.metrics import MetricsRegistry
 from repro.server.protocol import decode_request_full, encode_decision
 from repro.server.scheduler import JobScheduler
 
 __all__ = [
-    "RequestStats",
     "VerificationServer",
     "decision_fields",
     "observe_request",
@@ -140,16 +138,13 @@ class VerificationServer:
     #: behaviour) and crash-retry budget, passed through to the scheduler.
     component_timeout_s: Optional[float] = None
     component_retries: int = 0
-    last_stats: Optional[RequestStats] = None
     _blas: BlasThreadHold = field(
         default_factory=BlasThreadHold, init=False, repr=False, compare=False
     )
 
     def handle(self, request_frame: bytes) -> bytes:
         """Process one verification request frame; returns a decision frame."""
-        t0 = time.perf_counter()
         capture, claimed, request_id = decode_request_full(request_frame)
-        t_decoded = time.perf_counter()
         report = execute(
             self.system,
             capture,
@@ -159,19 +154,10 @@ class VerificationServer:
                 self.scheduler, self.component_timeout_s, self.component_retries
             ),
         )
-        t_executed = time.perf_counter()
         payload, evidence = decision_fields(report)
-        frame = encode_decision(
+        return encode_decision(
             report.accepted, payload, request_id=request_id, evidence=evidence
         )
-        identity_s = report.stage_latency_s.get("identity", 0.0)
-        self.last_stats = RequestStats(
-            decode_s=t_decoded - t0,
-            detection_s=t_executed - t_decoded - identity_s,
-            identity_s=identity_s,
-            total_s=time.perf_counter() - t0,
-        )
-        return frame
 
     def close(self) -> None:
         self.scheduler.shutdown()

@@ -99,14 +99,6 @@ class MobileClient:
             accepted=bool(decision["accepted"]),
         )
 
-    def authenticate_many(
-        self,
-        captures: List[SensorCapture],
-        claimed_speaker: Optional[str],
-    ) -> List[TimingReport]:
-        """Authenticate a batch (one trial per capture)."""
-        return [self.authenticate(c, claimed_speaker) for c in captures]
-
     def scrape_metrics(
         self,
         sections: Tuple[str, ...] = ("summary", "prometheus"),

@@ -1,12 +1,13 @@
 """Serving-path metrics: latency histograms and throughput counters.
 
-The single-request :class:`RequestStats` of the original prototype kept
-one number per stage; a concurrent gateway needs distributions.  A
-:class:`Histogram` keeps running aggregates (count/sum/min/max) over the
-full stream plus a bounded window of recent samples for percentiles, and
-a :class:`MetricsRegistry` names a thread-safe collection of histograms
-and counters — enough to rerun the Fig. 15 auth-time bench against the
-gateway and read off p50/p95 per stage.
+A :class:`Histogram` keeps running aggregates (count/sum/min/max) over
+the full stream plus a bounded window of recent samples for
+percentiles, and a :class:`MetricsRegistry` names a thread-safe
+collection of histograms and counters.  The registry times nothing
+itself: its ``stage_<name>_s`` histograms record the executor's
+``VerificationReport.stage_latency_s`` (see
+:func:`repro.server.backend.observe_request`), the one place stage time
+is measured.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import bisect
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,16 +41,6 @@ LATENCY_BUCKET_BOUNDS_S: Tuple[float, ...] = (
     1.0,
     2.5,
 )
-
-
-@dataclass
-class RequestStats:
-    """Server-side timing for one request (seconds)."""
-
-    decode_s: float
-    detection_s: float
-    identity_s: float
-    total_s: float
 
 
 class Histogram:
@@ -236,10 +226,6 @@ class MetricsRegistry:
                 hist = self._histograms[name] = Histogram(self._window)
             return hist
 
-    def time(self, name: str) -> "_Timer":
-        """Context manager recording a duration into histogram ``name``."""
-        return _Timer(self, name)
-
     # -- counters ------------------------------------------------------
     def increment(
         self, name: str, by: int = 1, at: Optional[float] = None
@@ -404,18 +390,15 @@ class MetricsRegistry:
 
         Aggregates the ``stage_<name>_s`` histograms plus the
         ``stage_skipped_<name>`` and ``stage_errors_<name>`` counters the
-        gateway cascade maintains.  Error-path histograms
-        (``stage_<name>_error_s``) are deliberately excluded from the
-        ok-path percentiles.  Stages that never ran but were skipped
-        still appear (run p50/p95 report 0.0).
+        gateway cascade maintains.  A stage that failed records no
+        latency, only its error count.  Stages that never ran but were
+        skipped still appear (run p50/p95 report 0.0).
         """
         with self._lock:
             hists = {
                 name[len("stage_") : -len("_s")]: h
                 for name, h in self._histograms.items()
-                if name.startswith("stage_")
-                and name.endswith("_s")
-                and not name.endswith("_error_s")
+                if name.startswith("stage_") and name.endswith("_s")
             }
             skips = {
                 name[len("stage_skipped_") :]: count
@@ -442,46 +425,3 @@ class MetricsRegistry:
                 "p95_s": hist.percentile(95.0) if hist is not None else 0.0,
             }
         return report
-
-
-class _Timer:
-    """Duration recorder that labels the outcome of the timed block.
-
-    A block that exits cleanly records into the named histogram as
-    before.  A block that raises records into a *separate* error
-    histogram and bumps an error counter instead, so error latencies
-    (often bimodal: instant validation failures vs full timeouts) never
-    pollute the ok-path percentiles.  For a stage histogram
-    ``stage_<x>_s`` the error series are ``stage_<x>_error_s`` and
-    ``stage_errors_<x>``; any other name ``n`` gets ``n_error`` and
-    ``errors_<n>``.  The exception always propagates.
-    """
-
-    def __init__(self, registry: MetricsRegistry, name: str):
-        self._registry = registry
-        self._name = name
-        self._t0: Optional[float] = None
-
-    def __enter__(self) -> "_Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[type],
-        exc: Optional[BaseException],
-        tb: object,
-    ) -> None:
-        assert self._t0 is not None
-        elapsed = time.perf_counter() - self._t0
-        if exc_type is None:
-            self._registry.observe(self._name, elapsed)
-            return
-        name = self._name
-        if name.startswith("stage_") and name.endswith("_s"):
-            stage = name[len("stage_") : -len("_s")]
-            self._registry.observe(f"stage_{stage}_error_s", elapsed)
-            self._registry.increment(f"stage_errors_{stage}")
-        else:
-            self._registry.observe(f"{name}_error", elapsed)
-            self._registry.increment(f"errors_{name}")

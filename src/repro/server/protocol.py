@@ -104,10 +104,11 @@ KIND_DECISION = _KIND_DECISION
 KIND_TELEMETRY_REQUEST = _KIND_TELEMETRY_REQUEST
 KIND_TELEMETRY_RESPONSE = _KIND_TELEMETRY_RESPONSE
 
-#: Upper bound on the payload a peer may declare.  A capture is a few
-#: hundred kB; anything near this limit is malformed or hostile (zlib
-#: decompression bombs), and the guard rejects it before the payload is
-#: checksummed, decompressed or sliced.
+#: Upper bound on the payload a peer may declare, and on the body a
+#: compressed payload may inflate to.  A capture is a few hundred kB;
+#: anything near this limit is malformed or hostile, and the guard
+#: rejects it before the payload is checksummed or sliced, or, for a
+#: zlib bomb, as soon as inflating it passes the limit.
 MAX_PAYLOAD_BYTES = 32 * 1024 * 1024
 
 
@@ -152,13 +153,24 @@ def _payload(frame: bytes, expected_kind: int) -> memoryview:
     return payload
 
 
-def _unframe(frame: bytes, expected_kind: int) -> dict:
-    """The JSON body of a decision or telemetry frame."""
+def _unframe(frame: bytes, expected_kind: int) -> Dict[str, Any]:
+    """The JSON object body of a decision or telemetry frame, inflated to
+    at most :data:`MAX_PAYLOAD_BYTES`."""
     payload = _payload(frame, expected_kind)
+    inflater = zlib.decompressobj()
     try:
-        return json.loads(zlib.decompress(payload).decode("utf-8"))
-    except (zlib.error, ValueError) as exc:
+        raw = inflater.decompress(payload, MAX_PAYLOAD_BYTES)
+        if not inflater.eof:
+            raise ProtocolError(
+                f"payload does not inflate to a complete body within "
+                f"{MAX_PAYLOAD_BYTES} bytes"
+            )
+        body = json.loads(raw.decode("utf-8"))
+    except (zlib.error, ValueError, RecursionError) as exc:
         raise ProtocolError(f"payload decode failed: {exc}") from exc
+    if not isinstance(body, dict):
+        raise ProtocolError("payload is not a JSON object")
+    return body
 
 
 def frame_kind(frame: bytes) -> int:

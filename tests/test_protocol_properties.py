@@ -1,15 +1,18 @@
 """Property-style round-trip tests for the wire protocol.
 
 Seeded ``numpy`` generators drive randomized capture shapes, degenerate
-score payloads, corruption, truncation, oversized-frame handling, and a
-request-frame fuzzer — no extra dependencies, fully deterministic.
+score payloads, corruption, truncation, oversized-frame handling, and
+fuzzers over request, decision and telemetry frames — no extra
+dependencies, fully deterministic.
 """
 
 import dataclasses
+import gzip
 import json
 import math
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.physics.geometry import Pose, SampledPath
 from repro.sensors.base import SensorSeries
+from repro.server import Gateway, GatewayConfig, protocol
 from repro.server.protocol import (
     KIND_DECISION,
     KIND_REQUEST,
@@ -31,8 +35,13 @@ from repro.server.protocol import (
     decode_decision,
     decode_request,
     decode_request_full,
+    decode_telemetry_request,
+    decode_telemetry_response,
     encode_decision,
     encode_request,
+    encode_telemetry_request,
+    encode_telemetry_response,
+    frame_kind,
     peek_request_meta,
 )
 from repro.world.scene import SensorCapture
@@ -367,3 +376,150 @@ class TestRequestFrameFuzz:
                     assert peeked == (claimed, request_id), label
         finally:
             tracemalloc.stop()
+
+
+#: A valid frame of each zlib-JSON kind, and the function that decodes it.
+_JSON_FRAMES = {
+    KIND_DECISION: (
+        encode_decision(
+            False,
+            {
+                "distance": (True, 0.012, "ok"),
+                "magnetic": (False, float("-inf"), "component error: boom"),
+            },
+            request_id="fuzz",
+            evidence={"distance": {"distance_m": 0.05}},
+        ),
+        decode_decision,
+    ),
+    KIND_TELEMETRY_REQUEST: (
+        encode_telemetry_request(("summary", "stages"), request_id="fuzz"),
+        decode_telemetry_request,
+    ),
+    KIND_TELEMETRY_RESPONSE: (
+        encode_telemetry_response(
+            {"summary": {"counters": {"accepted": 3}}, "prometheus": "up 1\n"},
+            request_id="fuzz",
+        ),
+        decode_telemetry_response,
+    ),
+}
+
+
+def _json_mutations(frame: bytes, rng: np.random.Generator):
+    """Seeded ``(label, payload, kind, verdict)`` mutations of one valid
+    decision or telemetry frame, for the caller to re-seal."""
+    own_kind = frame_kind(frame)
+    payload = frame[_HEADER.size :]
+    text = zlib.decompress(payload)
+
+    def case(label, body, verdict=REJECT, kind=own_kind):
+        return label, body, kind, verdict
+
+    yield case("unmodified", payload, ACCEPT)
+    yield case("recompressed at level 9", zlib.compress(text, 9), ACCEPT)
+    yield case("empty object", zlib.compress(b"{}"), ACCEPT)
+
+    # Bit flips in the compressed stream and in the JSON text.
+    for label, source, pack in (
+        ("stream", payload, bytes),
+        ("body", text, zlib.compress),
+    ):
+        for i in range(32):
+            flipped = bytearray(source)
+            for pos in rng.integers(0, len(flipped), int(rng.integers(1, 4))):
+                flipped[int(pos)] ^= 1 << int(rng.integers(0, 8))
+            yield case(f"{label} bit flip {i}", pack(bytes(flipped)), EITHER)
+
+    # Truncation of the stream and of the body, and trailing bytes.
+    for cut in sorted({0, 1, 2, len(payload) - 1, *rng.integers(0, len(payload), 8)}):
+        yield case(f"stream cut at {cut}", payload[: int(cut)])
+    for cut in sorted({0, 1, len(text) - 1, *rng.integers(0, len(text), 8)}):
+        yield case(f"body cut at {cut}", zlib.compress(text[: int(cut)]))
+    for k in (1, 4, 16):
+        yield case(f"{k} trailing bytes", payload + rng.bytes(k), EITHER)
+
+    # Bodies that are not a zlib stream.
+    deflate = zlib.compressobj(wbits=-15)
+    yield case("uncompressed body", text)
+    yield case("raw deflate body", deflate.compress(text) + deflate.flush())
+    yield case("gzip body", gzip.compress(text))
+
+    # Bodies that are not a JSON object.
+    for raw in (b"[]", b"[1, 2]", b'"body"', b"3", b"null", b"true", b"",
+                b"{", b"\xff\xfe", b"[" * 100_000, b"1" * 5_000):
+        yield case(f"body {raw[:8]!r}", zlib.compress(raw))
+
+    # Telemetry sections that are not a list.
+    if own_kind == KIND_TELEMETRY_REQUEST:
+        for sections in ("summary", {"summary": 1}, 3, None):
+            body = json.dumps({"sections": sections}).encode("utf-8")
+            yield case(f"sections={sections!r}", zlib.compress(body))
+        body = json.dumps({"sections": [1, None, "summary"]}).encode("utf-8")
+        yield case("non-string sections", zlib.compress(body), ACCEPT)
+
+    # The wrong frame kind.
+    kinds = (0, KIND_REQUEST, KIND_DECISION, KIND_TELEMETRY_REQUEST,
+             KIND_TELEMETRY_RESPONSE, 255)
+    for kind in kinds:
+        if kind != own_kind:
+            yield case(f"frame kind {kind}", payload, kind=kind)
+
+
+class TestJsonFrameFuzz:
+    """Seeded mutations of one valid decision, telemetry-request and
+    telemetry-response frame.  Every input must decode or raise
+    :class:`ProtocolError`; any other exception fails the test.
+    """
+
+    @pytest.mark.parametrize(
+        "kind",
+        [KIND_DECISION, KIND_TELEMETRY_REQUEST, KIND_TELEMETRY_RESPONSE],
+        ids=["decision", "telemetry_request", "telemetry_response"],
+    )
+    def test_every_mutation_decodes_or_raises_protocol_error(self, kind):
+        frame, decode = _JSON_FRAMES[kind]
+        rng = np.random.default_rng(20261019 + kind)
+        decoded_type = tuple if kind == KIND_TELEMETRY_REQUEST else dict
+        for label, payload, sealed_kind, verdict in _json_mutations(frame, rng):
+            try:
+                decoded = decode(_seal(sealed_kind, payload))
+            except ProtocolError:
+                decoded = None
+            assert verdict != (REJECT if decoded is not None else ACCEPT), label
+            if decoded is not None:
+                assert isinstance(decoded, decoded_type), label
+
+    def test_inflation_past_the_limit_is_rejected_within_it(self, monkeypatch):
+        limit = 1024 * 1024
+        monkeypatch.setattr(protocol, "MAX_PAYLOAD_BYTES", limit)
+        # Eight times the limit of spaces, then a valid object: a small
+        # frame whose body is valid JSON only once fully inflated.
+        bomb = _seal(
+            KIND_TELEMETRY_REQUEST, zlib.compress(b" " * (8 * limit) + b"{}", 9)
+        )
+        assert len(bomb) < limit // 64
+        tracemalloc.start()
+        try:
+            decoded, peak = _traced(decode_telemetry_request, bomb)
+        finally:
+            tracemalloc.stop()
+        assert isinstance(decoded, ProtocolError)
+        assert "inflate" in str(decoded)
+        assert peak <= 3 * limit, peak
+        # A body that ends inside the limit still decodes.
+        within = zlib.compress(b" " * (limit // 2) + b'{"request_id": "ok"}')
+        assert decode_telemetry_request(_seal(KIND_TELEMETRY_REQUEST, within)) == (
+            (),
+            "ok",
+        )
+
+
+def test_non_object_telemetry_body_fails_as_protocol_error(small_world):
+    frame = _seal(KIND_TELEMETRY_REQUEST, zlib.compress(b"[1, 2]"))
+    with Gateway(small_world.system, GatewayConfig(request_workers=1)) as gateway:
+        future = gateway.submit(frame)
+        with pytest.raises(ProtocolError, match="not a JSON object"):
+            future.result(timeout=5.0)
+        assert gateway.metrics.counter("protocol_errors") == 1
+        assert gateway.metrics.counter("telemetry_scrapes") == 0

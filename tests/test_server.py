@@ -299,8 +299,6 @@ class TestServerRoundTrip:
             report = client.authenticate(world_genuine_capture, world_user)
             assert report.accepted
             assert report.total_s > report.server_s
-            assert server.last_stats is not None
-            assert server.last_stats.total_s > 0
         finally:
             server.close()
 
