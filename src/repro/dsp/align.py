@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsp import _soskernel
 from repro.errors import SignalError
 
 
@@ -24,7 +25,9 @@ def dtw_path(
 
     Uses squared distance on z-normalised values and a Sakoe–Chiba band of
     ``band_fraction`` of the longer length.  Returns ``(ref_idx, query_idx)``
-    arrays describing the optimal path from (0, 0) to (n-1, m-1).
+    arrays describing the optimal path from (0, 0) to (n-1, m-1).  The
+    recurrence runs in the compiled kernel when one is available and in
+    :func:`_dtw_banded_py` otherwise, with the same bits either way.
     """
     ref = np.asarray(reference, dtype=float)
     qry = np.asarray(query, dtype=float)
@@ -38,7 +41,25 @@ def dtw_path(
     r, q = znorm(ref), znorm(qry)
     n, m = r.size, q.size
     band = max(int(band_fraction * max(n, m)), abs(n - m) + 2)
+    if _soskernel.kernel_available():
+        path = _soskernel.dtw_banded(r, q, band)
+    else:
+        path = _dtw_banded_py(r, q, band)
+    if path is None:
+        raise SignalError("DTW band too narrow for these sequences")
+    return path
 
+
+def _dtw_banded_py(
+    r: np.ndarray, q: np.ndarray, band: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The banded recurrence and backtrack without the compiled kernel.
+
+    Returns ``(ref_idx, query_idx)``, or ``None`` when the band never
+    reaches the last cell.  :func:`repro.dsp._soskernel.dtw_banded` runs
+    the same cells, adds and compares in C.
+    """
+    n, m = r.size, q.size
     # The DP runs over native Python floats: every cell update is the same
     # IEEE-754 double add/compare the ndarray version performed, so costs
     # (and therefore paths and downstream scores) are bitwise unchanged,
@@ -72,7 +93,7 @@ def dtw_path(
                 row[j] = drow[j] + best
 
     if cost[n - 1][m - 1] == inf:
-        raise SignalError("DTW band too narrow for these sequences")
+        return None
 
     # Backtrack.
     path_r, path_q = [n - 1], [m - 1]

@@ -15,6 +15,8 @@ path / LOS leakage) removal → phase unwrap → displacement.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.dsp.filters import lowpass, zero_phase_batch
@@ -27,6 +29,40 @@ from repro.physics.acoustics import SPEED_OF_SOUND
 #: 1e-12 well inside this span for every pilot low-pass the system uses,
 #: so chunked output matches whole-signal output to ~1e-12.
 CHUNK_OVERLAP = 8192
+
+#: Mixing grids are cached for signals up to this many samples (about
+#: 5.5 s at 48 kHz), so the cache below never holds more than 16 MiB.
+_GRID_CACHE_SAMPLES = 1 << 18
+
+
+@lru_cache(maxsize=4)
+def _mixing_grid(
+    n: int, sample_rate: float, carrier_hz: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(cos w, sin w)`` of the whole-signal mixing phase ``w``.
+
+    The grid depends only on the sample count, rate and carrier, and
+    every request of a deployment shares them, so it is built once
+    instead of costing two transcendental passes per capture.  Each
+    entry is computed exactly as the uncached expression would be, at
+    its own length (numpy's SIMD loops may round a slice of a longer
+    grid's tail differently).  Callers must not write to the arrays.
+    """
+    t = np.arange(n) / sample_rate
+    w = (-2.0 * np.pi * carrier_hz) * t
+    cos_w, sin_w = np.cos(w), np.sin(w)
+    cos_w.setflags(write=False)
+    sin_w.setflags(write=False)
+    return cos_w, sin_w
+
+
+def _whole_grid(
+    n: int, sample_rate: float, carrier_hz: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_mixing_grid`, bypassing the cache for long signals."""
+    if n > _GRID_CACHE_SAMPLES:
+        return _mixing_grid.__wrapped__(n, sample_rate, carrier_hz)
+    return _mixing_grid(n, sample_rate, carrier_hz)
 
 
 def iq_demodulate(
@@ -62,12 +98,11 @@ def iq_demodulate(
     # of the same phase grid is bitwise-identical to the complex
     # exponential while skipping the complex temporaries.
     if chunk_size is None or x.size <= chunk_size:
-        t = np.arange(x.size) / sample_rate
-        w = (-2.0 * np.pi * carrier_hz) * t
+        cos_w, sin_w = _whole_grid(x.size, sample_rate, carrier_hz)
         i, q = zero_phase_batch(
             [
-                (x * np.cos(w), 4, float(lowpass_hz), "low", int(sample_rate)),
-                (x * np.sin(w), 4, float(lowpass_hz), "low", int(sample_rate)),
+                (x * cos_w, 4, float(lowpass_hz), "low", int(sample_rate)),
+                (x * sin_w, 4, float(lowpass_hz), "low", int(sample_rate)),
             ]
         )
         return _assemble_complex(i, q)
@@ -197,12 +232,11 @@ class StreamingIQDemodulator:
             raise SignalError("iq_demodulate expects a non-empty 1-D signal")
         if self._emitted == 0 and total <= self.chunk_size:
             # Short captures take the whole-signal path, like the one-shot.
-            t = np.arange(total) / self.sample_rate
-            w = (-2.0 * np.pi * self.carrier_hz) * t
+            cos_w, sin_w = _whole_grid(total, self.sample_rate, self.carrier_hz)
             i, q = zero_phase_batch(
                 [
-                    (self._buf * np.cos(w), 4, self.lowpass_hz, "low", self.sample_rate),
-                    (self._buf * np.sin(w), 4, self.lowpass_hz, "low", self.sample_rate),
+                    (self._buf * cos_w, 4, self.lowpass_hz, "low", self.sample_rate),
+                    (self._buf * sin_w, 4, self.lowpass_hz, "low", self.sample_rate),
                 ]
             )
             return _assemble_complex(i, q)
@@ -301,11 +335,34 @@ def remove_static_component(
 
 
 def unwrap_phase(baseband: np.ndarray) -> np.ndarray:
-    """Unwrapped instantaneous phase (radians) of a complex baseband."""
+    """Unwrapped instantaneous phase (radians) of a complex baseband.
+
+    Bitwise ``np.unwrap(np.angle(baseband))``.  numpy computes the
+    wrapped step (``mod``, the ±π boundary fix, the correction) for
+    every sample and then zeroes it wherever ``|dd| < π``; a slowly
+    moving echo wraps a few dozen times in 10^5 samples, so here those
+    steps run only where ``~(|dd| < π)`` (wraps, exact ±π steps and
+    NaNs), with numpy's expressions element for element, and the array
+    that is cumulatively summed equals numpy's.
+    """
     bb = np.asarray(baseband, dtype=complex)
     if bb.ndim != 1 or bb.size == 0:
         raise SignalError("expected a non-empty 1-D baseband signal")
-    return np.unwrap(np.angle(bb))
+    p = np.angle(bb)
+    dd = np.diff(p)
+    period = 2 * np.pi
+    interval_high = period / 2
+    interval_low = -interval_high
+    at = np.flatnonzero(~(np.abs(dd) < interval_high))
+    ph_correct = np.zeros_like(dd)
+    if at.size:
+        d = dd[at]
+        ddmod = np.mod(d - interval_low, period) + interval_low
+        np.copyto(ddmod, interval_high, where=(ddmod == interval_low) & (d > 0))
+        ph_correct[at] = ddmod - d
+    up = p.copy()
+    up[1:] = p[1:] + ph_correct.cumsum()
+    return up
 
 
 def phase_to_displacement(

@@ -23,6 +23,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ProtocolError
 from repro.server.protocol import (
     decode_decision,
     decode_telemetry_response,
@@ -109,10 +110,15 @@ class MobileClient:
         verification (the gateway answers it without queueing) and
         returns the section name → value mapping; the ``"prometheus"``
         section is the text exposition, parseable with
-        :func:`repro.obs.exporters.parse_prometheus`.
+        :func:`repro.obs.exporters.parse_prometheus`.  A response whose
+        ``telemetry`` field is not an object raises
+        :class:`~repro.errors.ProtocolError`.
         """
         response = self.server.handle(encode_telemetry_request(sections))
-        return dict(decode_telemetry_response(response).get("telemetry", {}))
+        telemetry = decode_telemetry_response(response).get("telemetry", {})
+        if not isinstance(telemetry, dict):
+            raise ProtocolError("telemetry response field is not an object")
+        return dict(telemetry)
 
 
 @dataclass

@@ -234,12 +234,18 @@ class _ServingTier:
         """The whole-system registry a scrape reads."""
         return self.metrics
 
-    def _summarize(self, registry: MetricsRegistry) -> Dict[str, object]:
+    def _summarize(
+        self,
+        registry: MetricsRegistry,
+        stages: Optional[Dict[str, Dict[str, float]]] = None,
+    ) -> Dict[str, object]:
+        """The summary section; ``stages`` is the scrape's stage report
+        when the caller has already built it."""
         summary = registry.summary()
         summary["throughput_rps"] = registry.throughput()
         summary["windowed_throughput_rps"] = registry.windowed_throughput()
         if self.config.cascade:
-            summary["stages"] = registry.stage_report()
+            summary["stages"] = registry.stage_report() if stages is None else stages
         summary["drift"] = _drift_section(self.drift)
         return summary
 
@@ -252,14 +258,17 @@ class _ServingTier:
         """Answer a telemetry-scrape frame from the live registry."""
         sections, request_id = decode_telemetry_request(frame)
         registry = self._registry()
+        # One stage report serves both the stages section and a cascade
+        # gateway's summary.
+        stages = registry.stage_report() if "stages" in sections else None
         telemetry: Dict[str, object] = {}
         for section in sections:
             if section == "summary":
-                telemetry["summary"] = self._summarize(registry)
+                telemetry["summary"] = self._summarize(registry, stages)
             elif section == "prometheus":
                 telemetry["prometheus"] = prometheus_exposition(registry)
             elif section == "stages":
-                telemetry["stages"] = registry.stage_report()
+                telemetry["stages"] = stages
             elif section == "drift":
                 telemetry["drift"] = _drift_section(self.drift)
             elif section == "slo":
@@ -485,8 +494,12 @@ class Gateway(_ServingTier):
     # ------------------------------------------------------------------
     # Reporting / lifecycle
     # ------------------------------------------------------------------
-    def _summarize(self, registry: MetricsRegistry) -> Dict[str, object]:
-        summary = super()._summarize(registry)
+    def _summarize(
+        self,
+        registry: MetricsRegistry,
+        stages: Optional[Dict[str, Dict[str, float]]] = None,
+    ) -> Dict[str, object]:
+        summary = super()._summarize(registry, stages)
         cache = self.system.soundfield_cache_stats
         summary["soundfield_cache"] = {
             "hits": cache.hits,
@@ -915,8 +928,12 @@ class ShardedGateway(_ServingTier):
     def _registry(self) -> MetricsRegistry:
         return self.merged_metrics()
 
-    def _summarize(self, registry: MetricsRegistry) -> Dict[str, object]:
-        summary = super()._summarize(registry)
+    def _summarize(
+        self,
+        registry: MetricsRegistry,
+        stages: Optional[Dict[str, Dict[str, float]]] = None,
+    ) -> Dict[str, object]:
+        summary = super()._summarize(registry, stages)
         summary["shards"] = {
             "count": self.config.shards,
             "generations": self.shard_generations,

@@ -110,6 +110,16 @@ class Histogram:
         filled = self._samples[: min(self._count, self._window)]
         return float(np.percentile(filled, p))
 
+    def p50_p95(self) -> Tuple[float, float]:
+        """The median and p95 of the recent window, from one
+        ``np.percentile`` call (the same values as two
+        :meth:`percentile` calls)."""
+        if self._count == 0:
+            return 0.0, 0.0
+        filled = self._samples[: min(self._count, self._window)]
+        q = np.percentile(filled, (50.0, 95.0))
+        return float(q[0]), float(q[1])
+
     @property
     def bucket_counts(self) -> Tuple[int, ...]:
         """Non-cumulative counts per bucket (last bucket is +Inf)."""
@@ -184,13 +194,14 @@ class Histogram:
         return hist
 
     def summary(self) -> Dict[str, float]:
+        p50, p95 = self.p50_p95()
         return {
             "count": float(self._count),
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "p50": self.percentile(50.0),
-            "p95": self.percentile(95.0),
+            "p50": p50,
+            "p95": p95,
         }
 
 
@@ -416,12 +427,13 @@ class MetricsRegistry:
             runs = hist.count if hist is not None else 0
             skipped = skips.get(stage, 0)
             total = runs + skipped
+            p50, p95 = hist.p50_p95() if hist is not None else (0.0, 0.0)
             report[stage] = {
                 "runs": float(runs),
                 "skipped": float(skipped),
                 "skip_rate": skipped / total if total else 0.0,
                 "errors": float(errors.get(stage, 0)),
-                "p50_s": hist.percentile(50.0) if hist is not None else 0.0,
-                "p95_s": hist.percentile(95.0) if hist is not None else 0.0,
+                "p50_s": p50,
+                "p95_s": p95,
             }
         return report

@@ -36,6 +36,29 @@ def test_histogram_window_wraparound():
     assert hist.percentile(0.0) == 12.0
 
 
+
+def test_summary_percentiles_equal_two_percentile_calls():
+    """summary() and stage_report() take p50 and p95 from one
+    np.percentile call; the values must be the two calls' bits."""
+    rng = np.random.default_rng(48)
+    for trial in range(300):
+        window = int(rng.integers(1, 64))
+        hist = Histogram(window=window)
+        for value in rng.exponential(0.03, int(rng.integers(1, 3 * window))):
+            hist.record(float(value))
+        summary = hist.summary()
+        assert summary["p50"] == hist.percentile(50.0), trial
+        assert summary["p95"] == hist.percentile(95.0), trial
+    empty = Histogram(window=4).summary()
+    assert (empty["p50"], empty["p95"]) == (0.0, 0.0)
+    registry = MetricsRegistry(window=32)
+    for value in rng.exponential(0.02, 50):
+        registry.observe("stage_distance_s", float(value))
+    hist = registry.histogram("stage_distance_s")
+    row = registry.stage_report()["distance"]
+    assert row["p50_s"] == hist.percentile(50.0)
+    assert row["p95_s"] == hist.percentile(95.0)
+
 def test_concurrent_observe_keeps_every_sample():
     registry = MetricsRegistry(window=16384)
     n_threads, per_thread = 8, 500

@@ -250,6 +250,40 @@ def test_telemetry_scrape_bypasses_the_request_queue(small_world):
         assert frame_kind(response.result()) == KIND_TELEMETRY_RESPONSE
 
 
+
+def test_scrape_with_non_object_telemetry_raises_protocol_error():
+    """A well-formed response whose telemetry field is not an object is a
+    protocol fault, not a TypeError from the client's dict()."""
+    from repro.errors import ProtocolError
+    from repro.server.protocol import encode_telemetry_response
+
+    class ListTelemetryServer:
+        def handle(self, frame: bytes) -> bytes:
+            return encode_telemetry_response([1, 2], "r0")  # type: ignore[arg-type]
+
+    with pytest.raises(ProtocolError):
+        MobileClient(ListTelemetryServer()).scrape_metrics(("summary",))
+
+
+def test_scrape_builds_the_stage_report_once(small_world, monkeypatch):
+    """A cascade gateway's summary and stages sections share one report."""
+    from repro.server.metrics import MetricsRegistry
+
+    calls = []
+    stage_report = MetricsRegistry.stage_report
+
+    def counted(self):
+        calls.append(1)
+        return stage_report(self)
+
+    monkeypatch.setattr(MetricsRegistry, "stage_report", counted)
+    with Gateway(small_world.system, GatewayConfig(cascade=True)) as gateway:
+        telemetry = MobileClient(gateway).scrape_metrics(("summary", "stages"))
+        assert len(calls) == 1
+        assert telemetry["summary"]["stages"] == telemetry["stages"]
+        MobileClient(gateway).scrape_metrics(("summary",))
+        assert len(calls) == 2
+
 def test_scrape_includes_slo_abuse_and_events_sections(
     small_world, world_user, world_genuine_capture, world_replay_capture
 ):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.dsp.mel import MFCCExtractor, hz_to_mel, mel_filterbank, mel_to_hz
 from repro.dsp.phase import displacement_from_pilot, iq_demodulate
+from repro.errors import SignalError
 from repro.physics.acoustics import CircularPistonSource, PointSource
 from repro.physics.geometry import Pose, SampledPath, rotation_about_z
 from repro.physics.magnetics import (
@@ -323,8 +324,16 @@ class TestChunkedMel:
         np.testing.assert_allclose(chunked, whole, atol=TOL)
 
 
+def _needs_kernel():
+    from repro.dsp._soskernel import kernel_available
+
+    if not kernel_available():
+        pytest.skip("no C compiler in this environment")
+
+
 class TestCompiledSosKernel:
-    """The interleaved C cascade must be bitwise-equal to scipy's sosfilt."""
+    """The compiled cascades (the scalar loop for one signal, SIMD lanes
+    for several) must be bitwise-equal to scipy's sosfilt."""
 
     def _batch(self, rng, k=5, n=4000):
         from scipy.signal import butter
@@ -375,6 +384,62 @@ class TestCompiledSosKernel:
         sosfilt_interleaved(sos, x, zi, reverse=True)
         np.testing.assert_array_equal(x, expected)
 
+    # Shorter than one 128-sample block, one block, one block and a bit,
+    # and many blocks with a ragged tail.
+    LANE_LENGTHS = (1, 5, 127, 128, 129, 1000)
+
+    @pytest.mark.parametrize("n_sections", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_lanes_bitwise_vs_per_row_sosfilt(self, k, n_sections):
+        from scipy.signal import butter, sosfilt
+
+        from repro.dsp._soskernel import sosfilt_interleaved
+
+        _needs_kernel()
+        rng = np.random.default_rng(100 * k + n_sections)
+        sos = np.ascontiguousarray(
+            np.stack(
+                [
+                    butter(2 * n_sections, 0.04 + 0.11 * j, output="sos")
+                    for j in range(k)
+                ]
+            )
+        )
+        for n in self.LANE_LENGTHS:
+            x = rng.normal(size=(k, n))
+            zi = rng.normal(size=(k, n_sections, 2))
+            for reverse in (False, True):
+                rows, finals = [], []
+                for j in range(k):
+                    row = x[j][::-1] if reverse else x[j]
+                    y, zf = sosfilt(sos[j], row, zi=zi[j].copy())
+                    rows.append(y[::-1] if reverse else y)
+                    finals.append(zf)
+                got, got_zi = x.copy(), zi.copy()
+                sosfilt_interleaved(sos, got, got_zi, reverse=reverse)
+                np.testing.assert_array_equal(got, np.stack(rows))
+                np.testing.assert_array_equal(got_zi, np.stack(finals))
+
+    def test_more_signals_than_lanes(self):
+        """Batches wider than the lanes run in groups, same bits."""
+        from scipy.signal import butter, sosfilt
+
+        from repro.dsp._soskernel import sosfilt_interleaved
+
+        _needs_kernel()
+        rng = np.random.default_rng(40)
+        k, n = 11, 777
+        sos = np.ascontiguousarray(
+            np.stack([butter(4, 0.02 + 0.08 * j, output="sos") for j in range(k)])
+        )
+        x = rng.normal(size=(k, n))
+        zi = rng.normal(size=(k, 2, 2))
+        expected = np.stack(
+            [sosfilt(sos[j], x[j], zi=zi[j].copy())[0] for j in range(k)]
+        )
+        sosfilt_interleaved(sos, x, zi)
+        np.testing.assert_array_equal(x, expected)
+
     def test_shape_and_dtype_validation(self):
         from repro.dsp._soskernel import kernel_available, sosfilt_interleaved
 
@@ -407,23 +472,203 @@ class TestCompiledSosKernel:
             np.testing.assert_array_equal(got, ref)
 
     def test_zero_phase_batch_fallback_is_identical(self, monkeypatch):
-        """Without the compiled kernel the batch degrades to the same bits."""
+        """Without the compiled kernel the batch degrades to the same bits:
+        a mixed batch, the six render bands and the two IQ rails."""
         import repro.dsp._soskernel as soskernel
         from repro.dsp.filters import zero_phase_batch
+        from repro.world.scene import RENDER_BANDS
 
         rng = np.random.default_rng(22)
         x = rng.normal(size=8192)
-        items = [
-            (x, 2, (300.0, 900.0), "band", 16000),
-            (x, 4, 400.0, "low", 16000),
+        sr = 48000
+        batches = [
+            [
+                (x, 2, (300.0, 900.0), "band", 16000),
+                (x, 4, 400.0, "low", 16000),
+            ],
+            [
+                (x, 2, (float(lo), float(min(hi, sr / 2.0 * 0.95))), "band", sr)
+                for lo, hi, _ in RENDER_BANDS
+            ],
+            [
+                (x * np.cos(np.arange(x.size) * 0.3), 4, 200.0, "low", sr),
+                (x * np.sin(np.arange(x.size) * 0.3), 4, 200.0, "low", sr),
+            ],
         ]
-        with_kernel = zero_phase_batch(items)
+        with_kernel = [zero_phase_batch(items) for items in batches]
         # filters.py re-imports the gate per call, so patching the source
         # module disables the compiled path for the second evaluation.
         monkeypatch.setattr(soskernel, "kernel_available", lambda: False)
-        without_kernel = zero_phase_batch(items)
-        for a, b in zip(with_kernel, without_kernel):
-            np.testing.assert_array_equal(a, b)
+        without_kernel = [zero_phase_batch(items) for items in batches]
+        for got, ref in zip(with_kernel, without_kernel):
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestSparseUnwrap:
+    """``unwrap_phase`` == ``np.unwrap(np.angle(.))``, bit for bit."""
+
+    @staticmethod
+    def _check(bb):
+        from repro.dsp.phase import unwrap_phase
+
+        got = unwrap_phase(bb)
+        ref = np.unwrap(np.angle(bb))
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_bench_captures(self, genuine_capture_5cm, replay_capture_5cm):
+        from repro.dsp.phase import iq_demodulate, remove_static_component
+
+        for capture in (genuine_capture_5cm, replay_capture_5cm):
+            baseband = iq_demodulate(
+                capture.audio, capture.pilot_hz, capture.audio_sample_rate, 200.0
+            )
+            self._check(baseband)
+            self._check(remove_static_component(baseband))
+
+    @pytest.mark.parametrize("step_sigma", [0.05, 1.0, 3.0])
+    def test_random_walks_with_many_wraps(self, step_sigma):
+        rng = np.random.default_rng(int(step_sigma * 100))
+        for n in (1, 2, 3, 1000, 50000):
+            phase = np.cumsum(rng.normal(0.0, step_sigma, n))
+            self._check(rng.uniform(0.2, 3.0, n) * np.exp(1j * phase))
+
+    def test_steps_of_exactly_pi(self):
+        # angle() maps 1 to 0 and -1±0j to ±π exactly, so the steps below
+        # include |dd| == π in both directions (numpy's boundary fix) and
+        # |dd| == 2π.
+        plus, minus = complex(-1.0, 0.0), complex(-1.0, -0.0)
+        bb = np.array([1, plus, 1, minus, 1, plus, minus, plus, plus, 1])
+        dd = np.diff(np.angle(bb))
+        assert np.any(dd == np.pi) and np.any(dd == -np.pi)
+        assert np.any(np.abs(dd) == 2 * np.pi)
+        self._check(bb)
+
+    def test_nan_sample(self):
+        rng = np.random.default_rng(42)
+        bb = np.exp(1j * np.cumsum(rng.normal(0.0, 1.5, 4000)))
+        bb[1234] = complex(np.nan, 0.0)
+        self._check(bb)
+        bb[0] = complex(np.nan, np.nan)
+        self._check(bb)
+
+
+class TestCompiledDTW:
+    """The C recurrence and backtrack == the Python loop, bit for bit."""
+
+    @staticmethod
+    def _znorm(x):
+        s = x.std()
+        return (x - x.mean()) / (s if s > 1e-12 else 1.0)
+
+    def test_seeded_pairs(self):
+        from repro.dsp._soskernel import dtw_banded
+        from repro.dsp.align import _dtw_banded_py
+
+        _needs_kernel()
+        rng = np.random.default_rng(43)
+        for trial in range(300):
+            n, m = (int(v) for v in rng.integers(2, 141, 2))
+            if trial % 2:
+                # Few distinct levels: many cells tie, so the first-minimum
+                # rules (up, left, diagonal; then diagonal, up, left) decide.
+                x = rng.integers(0, 3, n).astype(float)
+                y = rng.integers(0, 3, m).astype(float)
+            else:
+                x, y = rng.normal(size=n), rng.normal(size=m)
+            r, q = self._znorm(x), self._znorm(y)
+            band = max(int(0.2 * max(n, m)), abs(n - m) + 2)
+            got, ref = dtw_banded(r, q, band), _dtw_banded_py(r, q, band)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_band_too_narrow(self):
+        from repro.dsp._soskernel import dtw_banded
+        from repro.dsp.align import _dtw_banded_py
+
+        _needs_kernel()
+        rng = np.random.default_rng(44)
+        r, q = rng.normal(size=10), rng.normal(size=40)
+        for band in (0, 1, 2):
+            assert dtw_banded(r, q, band) is None
+            assert _dtw_banded_py(r, q, band) is None
+
+    def test_dtw_path_falls_back_to_the_same_bits(self, monkeypatch):
+        import repro.dsp._soskernel as soskernel
+        from repro.dsp.align import dtw_path
+
+        rng = np.random.default_rng(45)
+        pairs = [(rng.normal(size=90), rng.normal(size=120)) for _ in range(5)]
+        pairs.append((np.repeat([0.0, 1.0, 0.0], 20), np.repeat([0.0, 1.0], 35)))
+        # -inf z-normalises to an unreachable first row: band too narrow.
+        unreachable = (np.array([1.0, 2.0, -np.inf]), np.array([1.0, 2.0, 3.0]))
+        with_kernel = [dtw_path(a, b) for a, b in pairs]
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SignalError, match="band too narrow"
+        ):
+            dtw_path(*unreachable)
+        monkeypatch.setattr(soskernel, "kernel_available", lambda: False)
+        without_kernel = [dtw_path(a, b) for a, b in pairs]
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SignalError, match="band too narrow"
+        ):
+            dtw_path(*unreachable)
+        for got, ref in zip(with_kernel, without_kernel):
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+
+class TestMixingGridCache:
+    def test_read_only_and_equal_to_a_fresh_grid(self):
+        from repro.dsp.phase import _mixing_grid
+
+        n, sr, fc = 9601, 48000, 19500.0
+        cos_w, sin_w = _mixing_grid(n, sr, fc)
+        w = (-2.0 * np.pi * fc) * (np.arange(n) / sr)
+        np.testing.assert_array_equal(cos_w, np.cos(w))
+        np.testing.assert_array_equal(sin_w, np.sin(w))
+        for arr in (cos_w, sin_w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert _mixing_grid(n, sr, fc)[0] is cos_w
+
+    def test_cache_stays_bounded(self):
+        from repro.dsp.phase import _GRID_CACHE_SAMPLES, _mixing_grid, iq_demodulate
+
+        rng = np.random.default_rng(46)
+        for n in range(1000, 1020):
+            iq_demodulate(rng.normal(size=n), 19000.0, 48000)
+        info = _mixing_grid.cache_info()
+        assert info.currsize <= info.maxsize
+        # Grids longer than the cache's sample limit are never kept.
+        before = _mixing_grid.cache_info()
+        iq_demodulate(rng.normal(size=_GRID_CACHE_SAMPLES + 1), 19000.0, 48000)
+        after = _mixing_grid.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_cached_demodulation_matches_uncached_arithmetic(self):
+        from repro.dsp.filters import zero_phase_batch
+        from repro.dsp.phase import _assemble_complex, iq_demodulate
+
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=20000)
+        t = np.arange(x.size) / 48000
+        w = (-2.0 * np.pi * 20000.0) * t
+        i, q = zero_phase_batch(
+            [
+                (x * np.cos(w), 4, 400.0, "low", 48000),
+                (x * np.sin(w), 4, 400.0, "low", 48000),
+            ]
+        )
+        expected = _assemble_complex(i, q)
+        for _ in range(2):  # a miss, then a hit
+            np.testing.assert_array_equal(
+                iq_demodulate(x, 20000.0, 48000), expected
+            )
 
 
 class TestStreamingMFCC:
