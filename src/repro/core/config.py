@@ -124,9 +124,10 @@ class GatewayConfig:
 
     ``shards=0`` (the default) keeps the single-process thread-pool
     gateway.  ``shards=N`` with ``N >= 1`` selects the shared-nothing
-    process-shard tier: requests are routed by consistent hash on the
-    claimed speaker id to one of ``N`` forked worker processes, each
-    owning its slice of the per-user sound-field LRU and ASV traffic.
+    process-shard tier: ``N`` forked worker processes, each holding the
+    whole trained system and its own sound-field LRU.  A request goes to
+    its claimed speaker's consistent-hash ring owner unless that shard
+    already holds its bounded-load cap of the requests in flight.
     """
 
     #: Request-level concurrency: how many requests are in flight at once.

@@ -26,7 +26,7 @@ arrays raw instead of zipped (they barely compress; see
 - :mod:`repro.server.blas` — the process-wide hold that runs OpenBLAS at
   one thread while a serving object is open (its pool would otherwise
   spin on the cores the stage threads need);
-- :mod:`repro.server.router` — consistent-hash speaker → shard routing;
+- :mod:`repro.server.router` — bounded-load consistent-hash placement;
 - :mod:`repro.server.shard` — the forked shard worker's serving loop;
 - :mod:`repro.server.metrics` — latency histograms and throughput
   counters shared by the serving paths, with cross-process snapshot

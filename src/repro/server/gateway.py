@@ -98,6 +98,7 @@ def _record_outcome(
     request_id: str,
     trace_id: str,
     duration_s: float,
+    queue_wait_s: float,
     shard_id: Optional[int] = None,
 ) -> Optional[str]:
     """Drift samples, audit row, abuse observation and wide event of one
@@ -121,7 +122,10 @@ def _record_outcome(
         report.claimed_speaker, identity.score if identity is not None else None
     )
     event = WideEvent.from_record_row(
-        record.to_dict(), duration_s=duration_s, shard_id=shard_id
+        record.to_dict(),
+        duration_s=duration_s,
+        queue_wait_s=queue_wait_s,
+        shard_id=shard_id,
     )
     if gateway.events.record(event) is None:
         return None
@@ -395,7 +399,7 @@ class Gateway(_ServingTier):
                 self.metrics.observe("queue_s", waited)
                 if root is not None:
                     self._retro_span(root, "queue", waited)
-                self._process(frame, future, root)
+                self._process(frame, future, waited, root)
             except Exception as exc:  # noqa: BLE001 - surfaced via the future
                 # A failing sink (the audit log's disk, say) fails this
                 # request alone; the worker lives on to serve the next.
@@ -426,7 +430,11 @@ class Gateway(_ServingTier):
         span.start_wall -= duration_s
 
     def _process(
-        self, frame: bytes, future: "Future[bytes]", root: Optional[Span] = None
+        self,
+        frame: bytes,
+        future: "Future[bytes]",
+        waited: float,
+        root: Optional[Span] = None,
     ) -> None:
         t0 = time.perf_counter()
         try:
@@ -477,6 +485,7 @@ class Gateway(_ServingTier):
             request_id,
             root.trace_id if root is not None else "",
             t_done - t0,
+            waited,
         )
         observe_request(
             self.metrics,
@@ -542,23 +551,28 @@ class ShardedGateway(_ServingTier):
     """Shared-nothing process-shard serving tier.
 
     ``GatewayConfig(shards=N)`` forks N :mod:`~repro.server.shard`
-    worker processes, each owning the speakers the consistent-hash
-    router assigns to it — a speaker's sound-field LRU entry and ASV
-    traffic live in exactly one process, so shards share no model state
-    and the GIL stops being the scaling ceiling.
+    worker processes, each holding the whole trained system, so shards
+    share no model state and the GIL stops being the scaling ceiling.
+    A request goes to its speaker's ring owner, where that speaker's
+    sound-field model stays resident, unless the owner already holds its
+    bounded-load cap of the requests in flight; then it goes to the next
+    shard under the cap in ring order
+    (:meth:`~repro.server.router.ConsistentHashRouter.place`), at the
+    cost of at most one LRU rehydration there.
 
     The parent process never verifies anything: it peeks the claimed
     speaker off each request frame (a meta-only peek that builds no
-    array, :func:`~repro.server.protocol.peek_request_meta`), routes the
-    frame bytes verbatim onto the owning shard's bounded queue
+    array, :func:`~repro.server.protocol.peek_request_meta`), places the
+    frame bytes verbatim onto the chosen shard's bounded queue
     (pickled once, by the queue itself), and collects decision frames,
     verification reports, and trace fragments off each shard's private
     result pipe (single writer, no cross-process lock — a dying shard
     cannot wedge its peers' replies).  The report becomes the audit row,
-    wide event and abuse observation here, through the same helper the
-    threaded gateway uses.  A health monitor replaces dead shards and
-    fails their in-flight requests **closed** with a provenance-carrying
-    rejection frame.
+    wide event, drift sample and abuse observation here, through the
+    same helper the threaded gateway uses, so each speaker's stream is
+    seen whole wherever its requests ran.  A health monitor replaces
+    dead shards and fails their in-flight requests **closed** with a
+    provenance-carrying rejection frame.
 
     Decisions are bitwise-equal to every other serving mode — the shard
     runs the same executor — which ``tests/test_shard_equivalence.py``
@@ -634,14 +648,15 @@ class ShardedGateway(_ServingTier):
     def _enqueue(
         self, request_frame: bytes, future: "Future[bytes]", block: bool
     ) -> None:
-        """Route one frame to its owning shard."""
+        """Place one frame on a shard: its speaker's ring owner unless
+        that shard is at its bounded-load cap
+        (:meth:`~repro.server.router.ConsistentHashRouter.place`)."""
         try:
             claimed, request_id = peek_request_meta(request_frame)
         except ProtocolError as exc:
             self.metrics.increment("protocol_errors")
             future.set_exception(exc)
             return
-        shard_id = self.router.route(claimed)
         root: Optional[Span] = None
         if self.tracer.enabled:
             root = self.tracer.begin(
@@ -650,14 +665,14 @@ class ShardedGateway(_ServingTier):
                     "request_id": request_id,
                     "claimed_speaker": claimed,
                     "mode": "sharded",
-                    "shard_id": shard_id,
                 },
             )
         trace_ctx = (
             (root.trace_id, root.span_id) if root is not None else None
         )
         seq = next(self._seq)
-        entry = _PendingRequest(future, shard_id, request_id, claimed, root)
+        owner = self.router.route(claimed)
+        entry = _PendingRequest(future, owner, request_id, claimed, root)
         message = ("request", seq, request_frame, trace_ctx)
         # A shard can die between us reading its queue and finishing the
         # put, in which case the frame sits on an abandoned queue.  The
@@ -668,9 +683,18 @@ class ShardedGateway(_ServingTier):
             with self._lock:
                 if self._closed:
                     raise ConfigurationError("gateway has been closed")
+                # Count, place and register under one acquisition, so
+                # concurrent submitters cannot both fill the last slot
+                # under a shard's cap.
+                loads = [0] * self._supervisor.shards
+                for pending in self._pending.values():
+                    loads[pending.shard_id] += 1
+                entry.shard_id = shard_id = self.router.place(claimed, loads)
                 generation = self._supervisor.generations[shard_id]
                 work_queue = self._supervisor.work_queues[shard_id]
                 self._pending[seq] = entry
+            if root is not None:
+                root.set_attr("shard_id", shard_id)
             try:
                 work_queue.put(message, block=block)
             except queue.Full:
@@ -700,6 +724,8 @@ class ShardedGateway(_ServingTier):
                 f"shard {shard_id} kept crashing during submission",
             )
         self.metrics.increment("requests_submitted")
+        if shard_id != owner:
+            self.metrics.increment("requests_rerouted")
 
     # ------------------------------------------------------------------
     # Result collection
@@ -739,18 +765,24 @@ class ShardedGateway(_ServingTier):
     def _dispatch(self, message: Tuple) -> None:
         kind = message[0]
         if kind == "decision":
-            _, seq, shard_id, frame, report, span_rows = message
+            _, seq, shard_id, frame, report, span_rows, service_s = message
             with self._lock:
                 entry = self._pending.pop(seq, None)
             if entry is None:
                 return  # already failed closed by the crash handler
             rtt = time.monotonic() - entry.submitted_at
+            # Whatever of the round trip the shard did not spend serving
+            # is waiting: its queue plus both pipe hand-offs.  No clock
+            # is shared between the processes.
+            waited = rtt - service_s
+            self.metrics.observe("queue_s", waited)
             exemplar = _record_outcome(
                 self,
                 report,
                 entry.request_id,
                 entry.root.trace_id if entry.root is not None else "",
                 rtt,
+                waited,
                 shard_id=shard_id,
             )
             self.metrics.observe("shard_rtt_s", rtt, exemplar=exemplar)
@@ -934,6 +966,10 @@ class ShardedGateway(_ServingTier):
         stages: Optional[Dict[str, Dict[str, float]]] = None,
     ) -> Dict[str, object]:
         summary = super()._summarize(registry, stages)
+        summary["soundfield_cache"] = {
+            name: registry.counter(f"soundfield_cache_{name}")
+            for name in ("hits", "misses", "evictions")
+        }
         summary["shards"] = {
             "count": self.config.shards,
             "generations": self.shard_generations,

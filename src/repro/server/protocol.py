@@ -253,9 +253,9 @@ def _request_meta(frame: bytes) -> Tuple[Dict[str, Any], memoryview, int]:
 def peek_request_meta(frame: bytes) -> Tuple[Optional[str], str]:
     """(claimed_speaker, request_id) of a request frame, nothing else.
 
-    The sharded gateway routes on the claimed speaker in the submitting
-    thread, then forwards the frame bytes verbatim to the owning shard,
-    which does the full decode.  This runs every check
+    The sharded gateway places the request by its claimed speaker in the
+    submitting thread, then forwards the frame bytes verbatim to the
+    chosen shard, which does the full decode.  This runs every check
     :func:`decode_request_full` runs (header, size guard, checksum, the
     meta block and its shapes) but parses only the meta block and builds
     no array, so it accepts exactly the frames the shard can decode.

@@ -1,14 +1,14 @@
 """Shard worker process: the verification loop of one gateway shard.
 
-A :class:`~repro.server.gateway.ShardedGateway` forks N of these, each
-owning the speakers a :class:`~repro.server.router.ConsistentHashRouter`
-assigns to it.  The worker inherits the trained
-:class:`~repro.core.pipeline.DefenseSystem` by fork copy-on-write (the
-models are never pickled or re-trained) and builds **all of its mutable
-serving state after the fork** — metrics registry, job scheduler,
-tracer — so no parent-held lock, RNG, or cache is ever shared across the
-process boundary.  The ``fork-safety`` static-analysis rule enforces
-this shape.
+A :class:`~repro.server.gateway.ShardedGateway` forks N of these and
+places each request on one of them with a
+:class:`~repro.server.router.ConsistentHashRouter`.  The worker inherits
+the trained :class:`~repro.core.pipeline.DefenseSystem` by fork
+copy-on-write (the models are never pickled or re-trained), so it can
+decide any speaker, and builds **all of its mutable serving state after
+the fork** — metrics registry, job scheduler, tracer — so no parent-held
+lock, RNG, or cache is ever shared across the process boundary.  The
+``fork-safety`` static-analysis rule enforces this shape.
 
 Request frames arrive pickled-once over the shard's bounded work queue
 and are decoded here; decisions travel back — as encoded decision
@@ -28,7 +28,9 @@ Wire messages (tuples; the queues pickle them):
              ("metrics", seq)                     → metrics snapshot
              ("ping", seq)                        → liveness probe
              ("stop",)                            drain + exit
-    result:  ("decision", seq, shard_id, frame, report, span_rows)
+    result:  ("decision", seq, shard_id, frame, report, span_rows,
+              service_s)                          service_s: decode to
+                                                  encode, in seconds
              ("decision_error", seq, shard_id, kind, message)
              ("metrics", seq, shard_id, snapshot)
              ("pong", seq, shard_id)
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis import sanitize
 from repro.core.config import GatewayConfig
@@ -81,6 +83,9 @@ class ShardWorker:
         self._span_tracer = Tracer()
         self.tracer: Tracer = NULL_TRACER
         self.scheduler = JobScheduler(workers=3)
+        #: The sound-field LRU counts this process inherited at the fork:
+        #: the shard reports only what it served itself.
+        self._cache_at_start = system.soundfield_cache_stats.snapshot()
         self._fan_out = scheduler_fan_out(
             self.scheduler,
             config.component_timeout_s,
@@ -90,8 +95,9 @@ class ShardWorker:
 
     def process(
         self, frame: bytes, trace_ctx: Optional[Tuple[str, str]]
-    ) -> Tuple[bytes, VerificationReport, list]:
-        """One request frame → (decision frame, report, spans)."""
+    ) -> Tuple[bytes, VerificationReport, list, float]:
+        """One request frame → (decision frame, report, spans, service
+        seconds from decode to encode)."""
         t0 = time.perf_counter()
         self.tracer = self._span_tracer if trace_ctx is not None else NULL_TRACER
         root: Optional[Span] = None
@@ -136,6 +142,7 @@ class ShardWorker:
             decision_frame = encode_decision(
                 report.accepted, payload, request_id=request_id, evidence=evidence
             )
+            t_done = time.perf_counter()
             # The latency-SLO counters live shard-side, where ``total_s``
             # is measured, so the parent's merged registry sees each
             # request's verdict exactly once.
@@ -144,7 +151,7 @@ class ShardWorker:
                 report,
                 decode_s=t_decoded - t0,
                 execute_s=t_executed - t_decoded,
-                encode_s=time.perf_counter() - t_executed,
+                encode_s=t_done - t_executed,
                 slo_threshold_s=self.config.slo_latency_threshold_s,
             )
             if root is not None:
@@ -155,7 +162,22 @@ class ShardWorker:
                 if trace_ctx is not None
                 else []
             )
-        return decision_frame, report, spans
+        return decision_frame, report, spans, t_done - t0
+
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """The registry snapshot the parent merges, with this shard's
+        sound-field LRU counts as ``soundfield_cache_*`` counters."""
+        snapshot = self.metrics.snapshot()
+        cache = self.system.soundfield_cache_stats
+        start = self._cache_at_start
+        snapshot["counters"].update(  # type: ignore[union-attr]
+            {
+                "soundfield_cache_hits": cache.hits - start.hits,
+                "soundfield_cache_misses": cache.misses - start.misses,
+                "soundfield_cache_evictions": cache.evictions - start.evictions,
+            }
+        )
+        return snapshot
 
     def close(self) -> None:
         self.scheduler.shutdown()
@@ -211,13 +233,13 @@ def shard_main(
                 send(("pong", message[1], shard_id))
                 continue
             if kind == "metrics":
-                send(("metrics", message[1], shard_id, worker.metrics.snapshot()))
+                send(("metrics", message[1], shard_id, worker.metrics_snapshot()))
                 continue
             if kind != "request":  # pragma: no cover - future message kinds
                 continue
             _, seq, frame, trace_ctx = message
             try:
-                decision_frame, report, span_rows = worker.process(
+                decision_frame, report, span_rows, service_s = worker.process(
                     frame, trace_ctx
                 )
             except ProtocolError as exc:
@@ -226,7 +248,17 @@ def shard_main(
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
                 send(("decision_error", seq, shard_id, "internal", repr(exc)))
                 continue
-            send(("decision", seq, shard_id, decision_frame, report, span_rows))
+            send(
+                (
+                    "decision",
+                    seq,
+                    shard_id,
+                    decision_frame,
+                    report,
+                    span_rows,
+                    service_s,
+                )
+            )
     finally:
         result_conn.close()  # type: ignore[attr-defined]
         worker.close()

@@ -404,3 +404,40 @@ def test_sharded_gateway_records_every_stage_score_for_drift(
         assert stages[name]["count"] == 2.0, name
         assert stages[name]["rolling_mean"] == result.score, name
     assert summary["drift"]["stages"].keys() == stages.keys()
+
+
+@pytest.mark.parametrize("tier", ["threaded", "sharded"])
+def test_queued_requests_carry_their_queue_wait(
+    small_world, world_user, world_genuine_capture, tier
+):
+    """One request worker (or one shard) serving a burst: each request
+    waits for the ones submitted before it, and its wide event says how
+    long.  The sharded parent shares no clock with its shard, so it
+    takes the wait as the round trip less the shard's own service time."""
+    from repro.obs.events import WideEventRecorder
+    from repro.server import ShardedGateway
+
+    events = WideEventRecorder(head_rate=1)  # keeps every event
+    frames = [
+        encode_request(world_genuine_capture, world_user, request_id=f"q{i}")
+        for i in range(4)
+    ]
+    if tier == "threaded":
+        config = GatewayConfig(request_workers=1)
+        gateway = Gateway(small_world.system, config, events=events)
+    else:
+        gateway = ShardedGateway(
+            small_world.system, GatewayConfig(shards=1), events=events
+        )
+    with gateway:
+        gateway.handle_many(frames)
+        queue_hist = gateway.metrics.histogram("queue_s")
+    by_id = {e.request_id: e for e in events.recent(len(frames))}
+    waits = [by_id[f"q{i}"].queue_wait_s for i in range(len(frames))]
+    assert all(w > 0 for w in waits), waits
+    # FIFO behind one worker: every request waited longer than the last.
+    assert all(a < b for a, b in zip(waits, waits[1:])), waits
+    assert queue_hist.count == len(frames)
+    if tier == "sharded":
+        # The sharded event's duration is the round trip, wait included.
+        assert all(e.queue_wait_s < e.duration_s for e in by_id.values())

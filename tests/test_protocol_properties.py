@@ -20,7 +20,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.physics.geometry import Pose, SampledPath
 from repro.sensors.base import SensorSeries
-from repro.server import Gateway, GatewayConfig, protocol
+from repro.server import Gateway, GatewayConfig, ShardedGateway, protocol
 from repro.server.protocol import (
     KIND_DECISION,
     KIND_REQUEST,
@@ -523,3 +523,73 @@ def test_non_object_telemetry_body_fails_as_protocol_error(small_world):
             future.result(timeout=5.0)
         assert gateway.metrics.counter("protocol_errors") == 1
         assert gateway.metrics.counter("telemetry_scrapes") == 0
+
+
+#: Every how-manyth request-frame mutation the tier fuzz submits: a few
+#: dozen frames, spread over every kind of mutation.
+TIER_FUZZ_STRIDE = 5
+
+#: Well-formed frames re-claimed for a speaker nobody enrolled.  Both
+#: tiers fail them at the identity stage, which fails a request where a
+#: detection stage would reject it, and not alike: the threaded gateway
+#: raises the stage's own exception and the sharded parent a
+#: ``ConfigurationError`` naming the shard, so the tier fuzz asserts only
+#: that both fail.
+IDENTITY_STAGE_FAILURES = {"claimed_speaker='mallory'", "claimed_speaker=''"}
+
+
+def _tier_fuzz_frames(frame: bytes):
+    """``(label, frame)``: every ``TIER_FUZZ_STRIDE``-th seeded mutation
+    of ``frame``, re-sealed, then ``frame`` claimed for an unenrolled
+    speaker, the empty speaker and no speaker at all."""
+    rng = np.random.default_rng(20261017)
+    for i, (label, payload, kind, _) in enumerate(_request_mutations(frame, rng)):
+        if i % TIER_FUZZ_STRIDE == 0:
+            yield label, _seal(kind, payload)
+    meta, arrays = _split(frame)
+    for claimed in ("mallory", "", None):
+        body = _body({**meta, "claimed_speaker": claimed}, arrays)
+        yield f"claimed_speaker={claimed!r}", _seal(KIND_REQUEST, body)
+
+
+def _tier_outcome(future):
+    """What one submitted frame came to: its decision frame, or which
+    kind of exception it raised."""
+    try:
+        return future.result(timeout=120)
+    except ProtocolError:
+        return "protocol error"
+    except Exception:  # noqa: BLE001 - compared across tiers below
+        return "error"
+
+
+def test_mutated_request_frames_end_alike_in_both_tiers(
+    small_world, world_user, world_genuine_capture
+):
+    """The request-frame mutations, submitted as one burst to the
+    threaded gateway and to two shards (a burst, so placement may move
+    requests off their ring owner), must each end the same way in both
+    tiers: a ``ProtocolError``, byte-identical decision frames, or, for
+    the identity-stage failures alone, an exception."""
+    frame = encode_request(world_genuine_capture, world_user, request_id="fuzz")
+    labels, frames = zip(*_tier_fuzz_frames(frame))
+    outcomes = {}
+    with Gateway(
+        small_world.system, GatewayConfig(request_workers=2)
+    ) as threaded, ShardedGateway(
+        small_world.system, GatewayConfig(shards=2)
+    ) as sharded:
+        for name, tier in (("threaded", threaded), ("sharded", sharded)):
+            futures = [tier.submit(f) for f in frames]
+            outcomes[name] = dict(zip(labels, map(_tier_outcome, futures)))
+        threaded_errors = threaded.metrics.counter("protocol_errors")
+        sharded_errors = sharded.merged_metrics().counter("protocol_errors")
+        generations = sharded.shard_generations
+    for label in labels:
+        assert outcomes["sharded"][label] == outcomes["threaded"][label], label
+    ended = outcomes["sharded"]
+    assert {k for k, v in ended.items() if v == "error"} == IDENTITY_STAGE_FAILURES
+    decided = {k for k, v in ended.items() if isinstance(v, bytes)}
+    assert {"unmodified", "claimed_speaker=None"} <= decided
+    assert sharded_errors == threaded_errors > 0
+    assert generations == [0, 0]
